@@ -75,10 +75,6 @@ void BoundaryAccumulator::record_injection(std::size_t site, int bit,
 }
 
 void BoundaryAccumulator::insert_filtered(SiteState& state, double value) {
-  if (value >= state.min_sdc_inj) {  // Section 3.5 rejection
-    ++filter_rejected_;
-    return;
-  }
   auto pos = std::lower_bound(state.prop_buffer.begin(),
                               state.prop_buffer.end(), value);
   state.prop_buffer.insert(pos, value);
@@ -108,6 +104,10 @@ void BoundaryAccumulator::record_masked_value(std::size_t site, double value) {
     return;
   }
   if (value <= 0.0) return;
+  if (value >= propagation_cutoff(site)) {  // Section 3.5 rejection
+    ++filter_rejected_;
+    return;
+  }
   SiteState& state = states_[site];
   if (options_.filter) {
     insert_filtered(state, value);

@@ -20,9 +20,17 @@
 // later can invalidate previously accepted values.  Eviction can only make
 // thresholds smaller, i.e. the filter stays conservative: precision is
 // never hurt, recall can drop marginally.  Values rejected at insert time
-// (> the then-current SDC minimum) would also be rejected at finalize time
+// (>= the then-current SDC minimum) would also be rejected at finalize time
 // because the minimum only decreases, so insert-time filtering loses
 // nothing.
+//
+// The buffer exists only for that interleaving (the streaming campaign in
+// campaign/inference.h).  When every injection is recorded before any
+// propagation -- a finished log (campaign/log.h) -- each site's
+// propagation_cutoff() is already final, the buffer's largest value is
+// simply the max of the values below it, and a replay can pre-filter and
+// max-fold in any order and on any number of threads, handing each site a
+// single value.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +70,15 @@ class BoundaryAccumulator {
   /// Streaming single-value form of the above for the low-memory pipeline
   /// (fi/lowmem.h), which never materialises a diff vector.
   void record_masked_value(std::size_t site, double value);
+
+  /// The Section 3.5 cutoff at `site`: a masked propagation value counts
+  /// only when it is strictly below it.  The smallest finite SDC injected
+  /// error recorded there, or +inf when unfiltered (or with no SDC evidence
+  /// yet).  Only ever decreases, and is final once every injection has been
+  /// recorded.  record_masked_value() applies exactly this rule.
+  double propagation_cutoff(std::size_t site) const noexcept {
+    return options_.filter ? states_[site].min_sdc_inj : kNoSdc;
+  }
 
   /// Per-site count of tested bits (64 -> the site is exact).
   std::uint32_t tested_bits(std::size_t site) const noexcept;

@@ -1,6 +1,8 @@
 #include "campaign/log.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -26,6 +28,20 @@ std::optional<CampaignLog> fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return std::nullopt;
 }
+
+// Masked ids a replay worker claims at a time.  Logs are sorted by id, so
+// by site: the longest suffixes come first and are handed out first, and
+// the workers finish together on short ones.
+constexpr std::size_t kReplayClaim = 8;
+
+/// One replay worker's private state; partials merge by max (and sum).
+struct ReplayPartial {
+  std::vector<double> best;   // per-site max below the cutoff
+  std::vector<double> diffs;  // Compare-mode diff buffer
+  double window_max = 0.0;
+  std::uint64_t replayed = 0;
+  std::uint64_t mismatches = 0;
+};
 
 }  // namespace
 
@@ -180,38 +196,120 @@ std::optional<CampaignLog> CampaignLog::load(const std::string& path,
   return log;
 }
 
-boundary::FaultToleranceBoundary boundary_from_log(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    const CampaignLog& log, const boundary::AccumulatorOptions& options,
-    util::ThreadPool& pool) {
-  if (log.config_key() != program.config_key()) {
-    throw std::invalid_argument(
-        "boundary_from_log: log was recorded for a different configuration");
-  }
-  boundary::BoundaryAccumulator accumulator(golden.trace.size(), options);
+LogEvidence fold_log_evidence(const fi::Program& program,
+                              const fi::GoldenRun& golden,
+                              const CampaignLog& log,
+                              const boundary::AccumulatorOptions& options,
+                              util::ThreadPool& pool,
+                              telemetry::Telemetry* telemetry,
+                              ReplayWindow window) {
+  telemetry::SpanScope span(telemetry, "boundary.replay", "boundary");
+  const std::size_t sites = golden.trace.size();
+  LogEvidence evidence{boundary::BoundaryAccumulator(sites, options), {}, 0.0};
 
-  // Injected-error evidence straight from the records; collect the masked
-  // ids for the propagation pass.  Only classic (site, bit) experiments
-  // feed the boundary: burst and memory-resident records (fi/memfault.h)
-  // are journaled alongside but describe a different fault model than the
-  // one the paper's boundary is defined over.
+  // Record pass: injected-error evidence straight from the classic records
+  // (burst and memory-resident ones describe another fault model).  It runs
+  // to completion first, so every site's cutoff is final before the first
+  // propagation value is folded.
   std::vector<ExperimentId> masked_ids;
   for (const ExperimentRecord& record : log.records()) {
     if (!is_classic(record.id)) continue;
-    accumulator.record_injection(site_of(record.id), bit_of(record.id),
-                                 record.result.outcome,
-                                 record.result.injected_error);
+    evidence.accumulator.record_injection(site_of(record.id),
+                                          bit_of(record.id),
+                                          record.result.outcome,
+                                          record.result.injected_error);
     if (record.result.outcome == fi::Outcome::kMasked) {
       masked_ids.push_back(record.id);
     }
   }
+  std::vector<double> cutoff(sites);
+  for (std::size_t j = 0; j < sites; ++j) {
+    cutoff[j] = evidence.accumulator.propagation_cutoff(j);
+  }
+  const std::uint64_t window_begin =
+      std::min<std::uint64_t>(window.begin, sites);
+  const std::uint64_t window_end = std::min<std::uint64_t>(window.end, sites);
 
-  const auto consume = [&](const ExperimentRecord&,
-                           std::span<const double> diffs) {
-    accumulator.record_masked_propagation(diffs);
+  // Replay: diffs are zero before the injection site, so only the suffix
+  // is folded.  `v < cutoff` also rejects +inf and NaN.
+  std::atomic<std::size_t> next{0};
+  const auto replay = [&](ReplayPartial& part) {
+    part.best.assign(sites, 0.0);
+    part.diffs.resize(sites);
+    for (;;) {
+      const std::size_t begin = next.fetch_add(kReplayClaim);
+      if (begin >= masked_ids.size()) break;
+      const std::size_t end =
+          std::min(begin + kReplayClaim, masked_ids.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        const ExperimentId id = masked_ids[i];
+        const fi::ExperimentResult result = fi::run_injected_compare(
+            program, golden, injection_of(id), part.diffs);
+        ++part.replayed;
+        if (result.outcome != fi::Outcome::kMasked) {
+          ++part.mismatches;  // Algorithm 1 folds masked runs only
+          continue;
+        }
+        const std::uint64_t site = site_of(id);
+        for (std::uint64_t j = site; j < sites; ++j) {
+          const double v = part.diffs[j];
+          part.best[j] = v < cutoff[j] && v > part.best[j] ? v : part.best[j];
+        }
+        for (std::uint64_t j = std::max(site, window_begin); j < window_end;
+             ++j) {
+          const double v = part.diffs[j];
+          if (std::isfinite(v) && v > part.window_max) part.window_max = v;
+        }
+      }
+    }
   };
-  (void)run_experiments_compare(program, golden, masked_ids, pool, consume);
-  return accumulator.finalize();
+  std::vector<ReplayPartial> partials(
+      std::min(pool.thread_count(), masked_ids.size()));
+  if (partials.size() == 1) {
+    replay(partials[0]);
+  } else if (partials.size() > 1) {
+    for (ReplayPartial& part : partials) {
+      pool.submit([&replay, &part] { replay(part); });
+    }
+    pool.wait_idle();
+  }
+
+  ReplayStats& stats = evidence.stats;
+  stats.threads = partials.size();
+  for (const ReplayPartial& part : partials) {
+    evidence.window_max = std::max(evidence.window_max, part.window_max);
+    stats.replayed += part.replayed;
+    stats.mismatches += part.mismatches;
+  }
+  for (std::size_t j = 0; j < sites; ++j) {
+    double value = 0.0;
+    for (const ReplayPartial& part : partials) {
+      value = std::max(value, part.best[j]);
+    }
+    if (value > 0.0) evidence.accumulator.record_masked_value(j, value);
+  }
+
+  span.arg("replayed", static_cast<double>(stats.replayed));
+  span.arg("threads", static_cast<double>(stats.threads));
+  span.arg("mismatches", static_cast<double>(stats.mismatches));
+  if (telemetry::active(telemetry)) {
+    telemetry->metrics()
+        .counter("boundary.replay_mismatches")
+        .add(stats.mismatches);
+  }
+  return evidence;
+}
+
+boundary::FaultToleranceBoundary boundary_from_log(
+    const fi::Program& program, const fi::GoldenRun& golden,
+    const CampaignLog& log, const boundary::AccumulatorOptions& options,
+    util::ThreadPool& pool, telemetry::Telemetry* telemetry) {
+  if (log.config_key() != program.config_key()) {
+    throw std::invalid_argument(
+        "boundary_from_log: log was recorded for a different configuration");
+  }
+  return fold_log_evidence(program, golden, log, options, pool, telemetry)
+      .accumulator.finalize();
 }
 
 }  // namespace ftb::campaign

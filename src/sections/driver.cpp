@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "boundary/accumulator.h"
 #include "campaign/campaign.h"
 
 namespace ftb::sections {
@@ -64,44 +63,21 @@ SectionRecord build_section_record(const fi::Program& program,
   record.hang = counts.hang;
   record.detected = counts.detected;
 
-  boundary::BoundaryAccumulator accumulator(
-      golden.trace.size(), {options.filter, options.prop_buffer_cap});
-  std::vector<campaign::ExperimentId> masked_ids;
-  for (const campaign::ExperimentRecord& entry : log.records()) {
-    if (!campaign::is_classic(entry.id)) continue;
-    accumulator.record_injection(campaign::site_of(entry.id),
-                                 campaign::bit_of(entry.id),
-                                 entry.result.outcome,
-                                 entry.result.injected_error);
-    if (entry.result.outcome == fi::Outcome::kMasked) {
-      masked_ids.push_back(entry.id);
-    }
-  }
-
-  // Masked propagation re-runs (Algorithm 1) feed the boundary slice and,
-  // over the exit window, the section's outgoing error bound.  Both are
-  // pointwise maxima, so the worker-thread consumption order cannot change
-  // the result.
+  // One shared replay (campaign::fold_log_evidence) feeds the boundary
+  // slice and, from the same fold's unfiltered maxima over the exit window,
+  // the section's outgoing error bound.
   const std::uint64_t window = std::max<std::uint64_t>(1, options.edge_window);
   const std::uint64_t exit_begin =
       spec.end - std::min<std::uint64_t>(window, spec.size());
-  double exit_bound = 0.0;
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::default_pool();
-  const auto consume = [&](const campaign::ExperimentRecord&,
-                           std::span<const double> diffs) {
-    accumulator.record_masked_propagation(diffs);
-    for (std::uint64_t j = exit_begin; j < spec.end; ++j) {
-      if (std::isfinite(diffs[j]) && diffs[j] > exit_bound) {
-        exit_bound = diffs[j];
-      }
-    }
-  };
-  (void)campaign::run_experiments_compare(program, golden, masked_ids, pool,
-                                          consume);
-  record.exit_bound = exit_bound;
+  const campaign::LogEvidence evidence = campaign::fold_log_evidence(
+      program, golden, log, {options.filter, options.prop_buffer_cap}, pool,
+      options.telemetry, {exit_begin, spec.end});
+  record.exit_bound = evidence.window_max;
 
-  const boundary::FaultToleranceBoundary whole = accumulator.finalize();
+  const boundary::FaultToleranceBoundary whole =
+      evidence.accumulator.finalize();
   record.thresholds.reserve(spec.size());
   record.exact.reserve(spec.size());
   for (std::uint64_t s = spec.begin; s < spec.end; ++s) {

@@ -64,6 +64,7 @@ struct SectionCampaignOptions {
   /// measured) and the entry window (where its incoming tolerance is read).
   std::uint64_t edge_window = 16;
   util::ThreadPool* pool = nullptr;
+  /// Also receives each section's `boundary.replay` span.
   telemetry::Telemetry* telemetry = nullptr;
   /// Polled between sections and between chunks; leaves resumable journals.
   std::function<bool()> should_stop;
@@ -83,9 +84,10 @@ struct SectionCampaignResult {
 };
 
 /// Builds one section's evidence record from its finished journal: outcome
-/// tallies, the section-local boundary slice (masked propagation re-runs,
-/// Algorithm 1 over the whole trace, then sliced to the section range),
-/// the exit-window error bound, and the entry-window tolerance.
+/// tallies, the section-local boundary slice (campaign::fold_log_evidence
+/// over the whole trace, then sliced to the section range), the exit-window
+/// error bound (the same replay's unfiltered maximum there), and the
+/// entry-window tolerance.
 SectionRecord build_section_record(const fi::Program& program,
                                    const fi::GoldenRun& golden,
                                    const SectionSpec& spec,

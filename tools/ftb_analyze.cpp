@@ -530,7 +530,7 @@ int cmd_campaign(const util::Cli& cli) {
 
   const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
       *k.program, k.golden, log,
-      {cli.get_bool("filter", true), 32}, pool);
+      {cli.get_bool("filter", true), 32}, pool, tele);
   describe_boundary(built, k);
   const int saved = save_if_requested(cli, built, k);
   const int exported = export_telemetry(cli);
@@ -742,7 +742,7 @@ int cmd_compose(const util::Cli& cli) {
     log.dedupe();
     const boundary::FaultToleranceBoundary monolithic =
         campaign::boundary_from_log(*k.program, k.golden, log,
-                                    {options.filter, 32}, pool);
+                                    {options.filter, 32}, pool, tele);
     const sections::CompositionCheck check =
         sections::compare_boundaries(composed, monolithic, log.records());
     std::printf("verify            : %llu probes, %s prediction agreement\n",

@@ -10,7 +10,8 @@
 // SIGTERM/SIGINT starts a graceful drain: no new connections, no new jobs,
 // the running campaign stops at its next checkpoint (journal resumable by
 // `ftb_analyze campaign --resume`), buffered replies are flushed, and the
-// process exits 0.  SIGUSR1 dumps metrics to --metrics-out.
+// process exits 0.  SIGUSR1 dumps metrics to --metrics-out; --trace-out
+// writes the span timeline at exit.
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -90,6 +91,8 @@ int main(int argc, char** argv) {
   cli.describe("max-connections", "accept backstop (default 1024)");
   cli.describe("metrics-out",
                "write a metrics JSON snapshot here on SIGUSR1 and at exit");
+  cli.describe("trace-out",
+               "write the span timeline (Chrome trace JSON) here at exit");
   cli.describe("campaign-cpus",
                "pin the campaign plane (runner thread + sandbox workers) to "
                "these CPUs, e.g. 1,2,4-7; keeps query p99 flat under load "
@@ -197,6 +200,7 @@ int main(int argc, char** argv) {
   server_options.telemetry = &telemetry;
 
   const std::string metrics_out = cli.get("metrics-out");
+  const std::string trace_out = cli.get("trace-out");
 
   try {
     net::Server server(service, server_options);
@@ -227,6 +231,9 @@ int main(int argc, char** argv) {
 
     if (!metrics_out.empty()) {
       telemetry::write_metrics_json(telemetry, metrics_out);
+    }
+    if (!trace_out.empty()) {
+      telemetry::write_chrome_trace(telemetry, trace_out);
     }
     std::fprintf(stderr, "drained; %zu boundaries in store\n",
                  service.store().size());
