@@ -27,13 +27,21 @@ std::optional<BoundaryArtifact> fail(std::string* error,
 }
 
 /// Decodes the body shared by v1 and v2: config key, thresholds, exact
-/// flags.  Throws std::runtime_error on truncation (BinaryReader).
+/// flags.  Throws std::runtime_error on truncation (BinaryReader) or on a
+/// site count the remaining bytes cannot hold.
 BoundaryArtifact decode_body(util::BinaryReader& reader,
                              std::uint64_t version) {
   BoundaryArtifact artifact;
   artifact.version = version;
   artifact.config_key = reader.get_string();
   const std::uint64_t sites = reader.get_u64();
+  // v1 has no CRC and a CRC does not stop a crafted file: bound the count
+  // by the bytes left before reserving for it.
+  if (sites > reader.remaining() / 8) {
+    throw std::runtime_error("declares " + std::to_string(sites) +
+                             " sites but holds only " +
+                             std::to_string(reader.remaining()) + " bytes");
+  }
   std::vector<double> thresholds;
   thresholds.reserve(sites);
   for (std::uint64_t i = 0; i < sites; ++i) {

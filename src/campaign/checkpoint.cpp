@@ -4,55 +4,126 @@
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
+#include <utility>
 
 #include "telemetry/events.h"
 
 namespace ftb::campaign {
 
-CheckpointRunResult run_campaign_checkpointed(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    std::span<const ExperimentId> ids, const CheckpointOptions& options) {
-  if (options.path.empty()) {
-    throw std::invalid_argument(
-        "run_campaign_checkpointed: journal path is empty");
+CampaignJournal::CampaignJournal(std::string path, std::string config_key,
+                                 telemetry::Telemetry* telemetry)
+    : path_(std::move(path)), telemetry_(telemetry) {
+  if (path_.empty()) {
+    throw std::invalid_argument("campaign journal path is empty");
   }
-  const std::size_t flush_every = std::max<std::size_t>(1, options.flush_every);
-  const std::string config_key = program.config_key();
-
-  CheckpointRunResult result;
+  telemetry::SpanScope span(telemetry_, "checkpoint.open", "checkpoint");
   std::error_code ec;
-  if (std::filesystem::exists(options.path, ec)) {
+  if (std::filesystem::exists(path_, ec)) {
     std::string error;
-    auto journal = CampaignLog::load(options.path, &error);
+    auto journal = CampaignLog::load(path_, &error, &torn_frames_);
     if (!journal) {
       // A journal that exists but does not parse is not a resumable state;
       // refusing beats silently redoing (or worse, double-counting) work.
-      throw std::runtime_error("run_campaign_checkpointed: " + error);
+      throw std::runtime_error("cannot resume campaign journal: " + error);
     }
     if (journal->config_key() != config_key) {
       throw std::invalid_argument(
-          "run_campaign_checkpointed: journal '" + options.path +
-          "' belongs to configuration '" + journal->config_key() +
-          "', not '" + config_key + "'");
+          "campaign journal '" + path_ + "' belongs to configuration '" +
+          journal->config_key() + "', not '" + config_key + "'");
     }
-    result.log = std::move(*journal);
-    result.resumed = true;
+    log_ = std::move(*journal);
+    resumed_ = true;
   } else {
-    result.log = CampaignLog(config_key);
+    log_ = CampaignLog(std::move(config_key));
+  }
+  done_.reserve(log_.size());
+  for (const ExperimentRecord& record : log_.records()) {
+    done_.insert(record.id);
   }
 
-  // Set-difference: the ids still owed after what the journal already holds.
-  std::unordered_set<ExperimentId> done;
-  done.reserve(result.log.size());
-  for (const ExperimentRecord& record : result.log.records()) {
-    done.insert(record.id);
+  // Compact-on-open: the records that survived the load become one frame,
+  // so a torn tail is gone and an older format is upgraded before the
+  // first append.
+  std::string image = encode_journal_header(log_.config_key());
+  if (log_.size() > 0) image += encode_journal_frame(log_.records());
+  std::string error;
+  if (!util::write_file_durable(path_, image, &error) ||
+      !file_.open(path_, &error)) {
+    throw std::runtime_error("cannot open campaign journal '" + path_ +
+                             "': " + error);
   }
+  span.arg("records", static_cast<double>(log_.size()));
+  span.arg("torn_frames", static_cast<double>(torn_frames_));
+  span.arg("bytes", static_cast<double>(image.size()));
+  if (telemetry::active(telemetry_)) {
+    telemetry_->metrics().counter("checkpoint.torn_frames").add(torn_frames_);
+    telemetry_->metrics().counter("checkpoint.bytes_written").add(image.size());
+  }
+}
+
+std::vector<ExperimentId> CampaignJournal::owed(
+    std::span<const ExperimentId> ids) const {
   std::vector<ExperimentId> remaining;
   remaining.reserve(ids.size());
   for (ExperimentId id : ids) {
-    if (done.count(id) == 0) remaining.push_back(id);
+    if (!done_.contains(id)) remaining.push_back(id);
   }
+  return remaining;
+}
+
+void CampaignJournal::append(std::span<const ExperimentRecord> batch) {
+  telemetry::SpanScope span(telemetry_, "checkpoint.flush", "checkpoint");
+  log_.append(batch);
+  const std::string frame = encode_journal_frame(batch);
+  std::string error;
+  if (!file_.append(frame.data(), frame.size(), &error)) {
+    throw std::runtime_error("cannot append to campaign journal '" + path_ +
+                             "': " + error);
+  }
+  span.arg("records", static_cast<double>(log_.size()));
+  span.arg("bytes", static_cast<double>(frame.size()));
+  span.arg("compact", 0.0);
+  count_write(frame.size());
+}
+
+CampaignLog CampaignJournal::finish() {
+  telemetry::SpanScope span(telemetry_, "checkpoint.flush", "checkpoint");
+  file_.close();
+  log_.dedupe();
+  // CampaignLog::save's durable publish, spelled out to learn the size and
+  // the reason of a failure.
+  const std::string image = log_.serialize();
+  std::string error;
+  if (!util::write_file_durable(path_, image, &error)) {
+    throw std::runtime_error("cannot write campaign journal '" + path_ +
+                             "': " + error);
+  }
+  span.arg("records", static_cast<double>(log_.size()));
+  span.arg("bytes", static_cast<double>(image.size()));
+  span.arg("compact", 1.0);
+  count_write(image.size());
+  return std::move(log_);
+}
+
+void CampaignJournal::count_write(std::uint64_t bytes) {
+  ++flushes_;
+  if (telemetry::active(telemetry_)) {
+    telemetry_->metrics().counter("checkpoint.flushes").add();
+    telemetry_->metrics().counter("checkpoint.bytes_written").add(bytes);
+  }
+}
+
+CheckpointRunResult run_campaign_checkpointed(
+    const fi::Program& program, const fi::GoldenRun& golden,
+    std::span<const ExperimentId> ids, const CheckpointOptions& options) {
+  const std::size_t flush_every = std::max<std::size_t>(1, options.flush_every);
+
+  CampaignJournal journal(options.path, program.config_key(),
+                          options.telemetry);
+  CheckpointRunResult result;
+  result.resumed = journal.resumed();
+  result.torn_frames = journal.torn_frames();
+  const std::vector<ExperimentId> remaining = journal.owed(ids);
   result.skipped = ids.size() - remaining.size();
 
   util::ThreadPool& pool =
@@ -81,27 +152,13 @@ CheckpointRunResult run_campaign_checkpointed(
     supervisor.emplace(program, golden, supervisor_options);
   }
 
-  const auto flush = [&] {
-    telemetry::SpanScope span(options.telemetry, "checkpoint.flush",
-                              "checkpoint");
-    span.arg("records", static_cast<double>(result.log.size()));
-    if (!result.log.save(options.path)) {
-      throw std::runtime_error(
-          "run_campaign_checkpointed: cannot write journal '" + options.path +
-          "'");
-    }
-    ++result.flushes;
-    if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics().counter("checkpoint.flushes").add();
-    }
-  };
-
-  const auto report = [&](std::span<const ExperimentRecord> chunk) {
+  const auto report = [&](std::span<const ExperimentRecord> chunk,
+                          std::size_t logged) {
     if (!options.on_progress) return;
     CheckpointProgress progress;
     progress.executed = result.executed;
     progress.total = remaining.size();
-    progress.logged = result.log.size();
+    progress.logged = logged;
     progress.chunk = chunk;
     SupervisorStats stats_copy;
     if (supervisor) {
@@ -151,20 +208,20 @@ CheckpointRunResult run_campaign_checkpointed(
     } else {
       batch = run_experiments(program, golden, chunk, pool);
     }
-    result.log.append(batch);
     result.executed += batch.size();
     if (telemetry::active(options.telemetry)) {
       options.telemetry->metrics()
           .counter("checkpoint.experiments")
           .add(batch.size());
     }
-    flush();
-    report(batch);
+    journal.append(batch);
+    report(batch, journal.size());
   }
 
-  result.log.dedupe();
-  flush();  // final flush persists the deduped journal (complete or drained)
-  report({});
+  // Complete or drained, the journal ends as the deduped v3 image.
+  result.log = journal.finish();
+  result.flushes = journal.flushes();
+  report({}, result.log.size());
   if (supervisor) result.supervisor_stats = supervisor->stats();
   return result;
 }

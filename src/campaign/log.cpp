@@ -19,14 +19,160 @@ constexpr std::uint64_t kMagic = 0x4654422d434c4f47ull;  // "FTB-CLOG"
 // v2: adds a per-record crash_reason byte and a trailing CRC-32 frame check.
 // v3: adds the kDetected outcome and a per-record flags word (bit 0 =
 // detector_fired).  v2 logs still load (flags default to 0).
+// v4: the append-only in-flight journal -- a CRC-checked header, then
+// CRC-framed batches of v3 records (log.h).
 constexpr std::uint64_t kVersion = 3;
 constexpr std::uint64_t kMinVersion = 2;
+constexpr std::uint64_t kJournalVersion = 4;
 
 constexpr std::uint64_t kFlagDetectorFired = 1;
+
+/// Encoded bytes of one record in v3 and v4 (v2 lacks the flags word).
+constexpr std::size_t kRecordBytes = 7 * 8;
 
 std::optional<CampaignLog> fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return std::nullopt;
+}
+
+std::uint64_t read_u64(const std::uint8_t* bytes) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
+  }
+  return value;
+}
+
+void put_record(util::BinaryWriter& writer, const ExperimentRecord& record) {
+  writer.put_u64(record.id);
+  writer.put_u64(static_cast<std::uint64_t>(record.result.outcome));
+  writer.put_u64(static_cast<std::uint64_t>(record.result.crash_reason));
+  writer.put_f64(record.result.injected_error);
+  writer.put_f64(record.result.output_error);
+  writer.put_u64(record.result.crash_site);
+  writer.put_u64(record.result.detector_fired ? kFlagDetectorFired : 0);
+}
+
+/// Appends a CRC-32 of everything written so far, stored as a u64 so the
+/// encoding stays 8-byte framed.
+std::string seal(util::BinaryWriter& writer) {
+  const std::uint32_t crc =
+      util::crc32(writer.buffer().data(), writer.buffer().size());
+  writer.put_u64(crc);
+  return {writer.buffer().begin(), writer.buffer().end()};
+}
+
+/// Decodes record `index` into `record`.  Returns a diagnosis for a value
+/// this binary cannot represent, empty on success; truncation throws
+/// (BinaryReader).
+std::string get_record(util::BinaryReader& reader, std::uint64_t version,
+                       std::uint64_t index, ExperimentRecord& record) {
+  record.id = reader.get_u64();
+  const std::uint64_t raw = reader.get_u64();
+  if (raw > static_cast<std::uint64_t>(fi::Outcome::kDetected)) {
+    // Name the value so a v-next log fails readably on this binary.
+    return "campaign log record " + std::to_string(index) +
+           " has unsupported outcome " + fi::outcome_name(raw) +
+           " (raw value " + std::to_string(raw) +
+           "; this binary knows outcomes up to " +
+           fi::outcome_name(
+               static_cast<std::uint64_t>(fi::Outcome::kDetected)) +
+           ")";
+  }
+  record.result.outcome = static_cast<fi::Outcome>(raw);
+  const std::uint64_t reason = reader.get_u64();
+  if (reason > static_cast<std::uint64_t>(fi::CrashReason::kQuarantined)) {
+    return "campaign log record " + std::to_string(index) +
+           " has invalid crash reason " + std::to_string(reason);
+  }
+  record.result.crash_reason = static_cast<fi::CrashReason>(reason);
+  record.result.injected_error = reader.get_f64();
+  record.result.output_error = reader.get_f64();
+  record.result.crash_site = reader.get_u64();
+  if (version >= 3) {
+    const std::uint64_t flags = reader.get_u64();
+    record.result.detector_fired = (flags & kFlagDetectorFired) != 0;
+  }
+  return {};
+}
+
+struct Decoded {
+  std::string config_key;
+  std::vector<ExperimentRecord> records;
+  std::uint64_t torn_frames = 0;
+};
+
+/// A v2/v3 image: one CRC over the whole file, checked up front -- a file
+/// that fails it is corrupt, and any decode error past it would only
+/// describe a symptom of that.  Returns a diagnosis, empty on success.
+std::string decode_image(const std::uint8_t* bytes, std::size_t size,
+                         std::uint64_t version, Decoded& out) {
+  const std::size_t body = size - 8;
+  if (read_u64(bytes + body) != util::crc32(bytes, body)) {
+    return "campaign log CRC mismatch (file is corrupt or was truncated "
+           "mid-write)";
+  }
+  util::BinaryReader reader(std::vector<std::uint8_t>(bytes + 16, bytes + body));
+  out.config_key = reader.get_string();
+  const std::uint64_t count = reader.get_u64();
+  // A CRC stops rot, not a crafted file: bound the count by the bytes left
+  // before reserving for it.
+  const std::size_t record_bytes = version >= 3 ? kRecordBytes : 6 * 8;
+  if (count > reader.remaining() / record_bytes) {
+    return "campaign log declares " + std::to_string(count) +
+           " records but holds only " + std::to_string(reader.remaining()) +
+           " bytes of them";
+  }
+  out.records.resize(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string diagnosis = get_record(reader, version, i, out.records[i]);
+    if (!diagnosis.empty()) return diagnosis;
+  }
+  return {};
+}
+
+/// A v4 journal: the header's CRC, then frame after frame.  Only the last
+/// frame may be torn; it is dropped and counted.  Returns a diagnosis,
+/// empty on success.
+std::string decode_journal(const std::uint8_t* bytes, std::size_t size,
+                           Decoded& out) {
+  util::BinaryReader reader(std::vector<std::uint8_t>(bytes + 16, bytes + size));
+  out.config_key = reader.get_string();
+  const std::size_t header = size - reader.remaining();
+  if (reader.get_u64() != util::crc32(bytes, header)) {
+    return "campaign log header CRC mismatch (file is corrupt)";
+  }
+  while (reader.remaining() > 0) {
+    const std::size_t pos = size - reader.remaining();
+    const std::size_t left = reader.remaining();
+    // An empty frame takes 16 bytes.  A frame whose declared length runs
+    // past end-of-file is a torn append; the same bound keeps a forged
+    // count from driving an allocation.
+    if (left < 16 || read_u64(bytes + pos) > (left - 16) / kRecordBytes) {
+      ++out.torn_frames;
+      break;
+    }
+    const std::uint64_t count = reader.get_u64();
+    const std::size_t body = 8 + count * kRecordBytes;
+    if (read_u64(bytes + pos + body) != util::crc32(bytes + pos, body)) {
+      if (pos + body + 8 == size) {
+        ++out.torn_frames;  // the append that was cut short
+        break;
+      }
+      return "campaign log frame at byte offset " + std::to_string(pos) +
+             " fails its CRC with " + std::to_string(size - pos - body - 8) +
+             " bytes after it (the journal is corrupt, not torn)";
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      ExperimentRecord record;
+      std::string diagnosis = get_record(reader, kJournalVersion,
+                                         out.records.size(), record);
+      if (!diagnosis.empty()) return diagnosis;
+      out.records.push_back(record);
+    }
+    (void)reader.get_u64();  // the frame CRC, checked above
+  }
+  return {};
 }
 
 // Masked ids a replay worker claims at a time.  Logs are sorted by id, so
@@ -86,112 +232,76 @@ std::string CampaignLog::serialize() const {
   writer.put_u64(kVersion);
   writer.put_string(config_key_);
   writer.put_u64(records_.size());
-  for (const ExperimentRecord& record : records_) {
-    writer.put_u64(record.id);
-    writer.put_u64(static_cast<std::uint64_t>(record.result.outcome));
-    writer.put_u64(static_cast<std::uint64_t>(record.result.crash_reason));
-    writer.put_f64(record.result.injected_error);
-    writer.put_f64(record.result.output_error);
-    writer.put_u64(record.result.crash_site);
-    writer.put_u64(record.result.detector_fired ? kFlagDetectorFired : 0);
-  }
-  // Trailing CRC-32 of everything written so far, stored as a u64 so the
-  // whole file stays 8-byte framed.
-  const std::uint32_t crc =
-      util::crc32(writer.buffer().data(), writer.buffer().size());
-  writer.put_u64(crc);
-  return {writer.buffer().begin(), writer.buffer().end()};
+  for (const ExperimentRecord& record : records_) put_record(writer, record);
+  return seal(writer);
+}
+
+std::string encode_journal_header(const std::string& config_key) {
+  util::BinaryWriter writer;
+  writer.put_u64(kMagic);
+  writer.put_u64(kJournalVersion);
+  writer.put_string(config_key);
+  return seal(writer);
+}
+
+std::string encode_journal_frame(std::span<const ExperimentRecord> records) {
+  util::BinaryWriter writer;
+  writer.put_u64(records.size());
+  for (const ExperimentRecord& record : records) put_record(writer, record);
+  return seal(writer);
 }
 
 std::optional<CampaignLog> CampaignLog::deserialize(const std::string& payload,
-                                                    std::string* error) {
-  // The CRC is checked up front: a frame that fails it is corrupt, and any
-  // decode error past this point would only describe a symptom of that.
+                                                    std::string* error,
+                                                    std::uint64_t* torn_frames) {
   if (payload.size() < 4 * 8) {
     return fail(error, "campaign log truncated: " +
                            std::to_string(payload.size()) +
                            " bytes is smaller than the fixed header");
   }
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(payload.data());
-  const std::size_t body = payload.size() - 8;
-  std::uint64_t stored_crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored_crc |= static_cast<std::uint64_t>(bytes[body + i]) << (8 * i);
+  if (read_u64(bytes) != kMagic) {
+    return fail(error, "campaign log has bad magic (not an FTB-CLOG file)");
   }
-  const std::uint32_t actual_crc = util::crc32(bytes, body);
+  const std::uint64_t version = read_u64(bytes + 8);
+  if (version < kMinVersion || version > kJournalVersion) {
+    return fail(error, "campaign log has unsupported version " +
+                           std::to_string(version) + " (expected " +
+                           std::to_string(kMinVersion) + ".." +
+                           std::to_string(kJournalVersion) + ")");
+  }
+  Decoded decoded;
+  std::string diagnosis;
   try {
-    util::BinaryReader reader(std::vector<std::uint8_t>(bytes, bytes + body));
-    if (reader.get_u64() != kMagic) {
-      return fail(error, "campaign log has bad magic (not an FTB-CLOG file)");
-    }
-    const std::uint64_t version = reader.get_u64();
-    if (version < kMinVersion || version > kVersion) {
-      return fail(error, "campaign log has unsupported version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(kMinVersion) + ".." +
-                             std::to_string(kVersion) + ")");
-    }
-    if (stored_crc != actual_crc) {
-      return fail(error,
-                  "campaign log CRC mismatch (file is corrupt or was "
-                  "truncated mid-write)");
-    }
-    CampaignLog log(reader.get_string());
-    const std::uint64_t count = reader.get_u64();
-    log.records_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ExperimentRecord record;
-      record.id = reader.get_u64();
-      const std::uint64_t raw = reader.get_u64();
-      if (raw > static_cast<std::uint64_t>(fi::Outcome::kDetected)) {
-        // Name the value so a v-next log fails readably on this binary.
-        return fail(error, "campaign log record " + std::to_string(i) +
-                               " has unsupported outcome " +
-                               fi::outcome_name(raw) +
-                               " (raw value " + std::to_string(raw) +
-                               "; this binary knows outcomes up to " +
-                               fi::outcome_name(static_cast<std::uint64_t>(
-                                   fi::Outcome::kDetected)) +
-                               ")");
-      }
-      record.result.outcome = static_cast<fi::Outcome>(raw);
-      const std::uint64_t reason = reader.get_u64();
-      if (reason > static_cast<std::uint64_t>(fi::CrashReason::kQuarantined)) {
-        return fail(error, "campaign log record " + std::to_string(i) +
-                               " has invalid crash reason " +
-                               std::to_string(reason));
-      }
-      record.result.crash_reason = static_cast<fi::CrashReason>(reason);
-      record.result.injected_error = reader.get_f64();
-      record.result.output_error = reader.get_f64();
-      record.result.crash_site = reader.get_u64();
-      if (version >= 3) {
-        const std::uint64_t flags = reader.get_u64();
-        record.result.detector_fired = (flags & kFlagDetectorFired) != 0;
-      }
-      log.records_.push_back(record);
-    }
-    return log;
+    diagnosis = version == kJournalVersion
+                    ? decode_journal(bytes, payload.size(), decoded)
+                    : decode_image(bytes, payload.size(), version, decoded);
   } catch (const std::runtime_error& e) {
-    return fail(error, std::string("campaign log truncated: ") + e.what());
+    diagnosis = std::string("campaign log truncated: ") + e.what();
   }
+  if (!diagnosis.empty()) return fail(error, diagnosis);
+  CampaignLog log(std::move(decoded.config_key));
+  log.records_ = std::move(decoded.records);
+  if (torn_frames != nullptr) *torn_frames = decoded.torn_frames;
+  return log;
 }
 
 bool CampaignLog::save(const std::string& path) const {
-  // Durable publish (tmp + fsync + rename + parent-dir fsync): a journal
-  // flush is the checkpoint the resume path trusts, so it must survive a
+  // Durable publish (tmp + fsync + rename + parent-dir fsync): a finished
+  // journal is what the boundary is built from, so it must survive a
   // crash, not just a concurrent reader.
   return util::write_file_durable(path, serialize());
 }
 
 std::optional<CampaignLog> CampaignLog::load(const std::string& path,
-                                             std::string* error) {
+                                             std::string* error,
+                                             std::uint64_t* torn_frames) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return fail(error, "cannot open campaign log '" + path + "'");
   const std::string payload{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>()};
   std::string detail;
-  auto log = deserialize(payload, &detail);
+  auto log = deserialize(payload, &detail, torn_frames);
   if (!log) return fail(error, "'" + path + "': " + detail);
   return log;
 }

@@ -4,15 +4,37 @@
 // are tiny.  A CampaignLog captures every (experiment id, outcome,
 // injected error) pair keyed by the program configuration, so that
 //
-//   * long campaigns survive interruption (append + save, resume later),
+//   * long campaigns survive interruption (campaign/checkpoint.h journals
+//     every chunk, a re-invocation resumes from the file),
 //   * logs from independent machines/seeds can be merged,
 //   * boundaries can be *rebuilt* from a log under different analysis
 //     settings (e.g. filter on/off) by re-running only the masked
 //     experiments in compare mode (fold_log_evidence) -- a small fraction
 //     of the original cost.
+//
+// On disk a log takes one of two shapes, both starting with the magic
+// "FTB-CLOG" and a version word, and both storing each record as the same
+// seven u64 words (id, outcome, crash reason, injected error, output error,
+// crash site, flags):
+//
+//   * the image (v3, v2 still loads): config key, record count, records,
+//     then a CRC-32 of everything before it.  save() writes it durably; a
+//     finished or drained journal is one.  Any damage is refused.
+//   * the in-flight journal (v4): config key and a CRC-32 of that header,
+//     then frames, each a record count n, n records and a CRC-32 of the
+//     frame.  A checkpointed run appends one frame per chunk
+//     (encode_journal_frame) instead of rewriting the file.  A torn tail --
+//     a last frame whose declared length runs past end-of-file, or that
+//     ends exactly at end-of-file with a bad CRC -- is what a crash
+//     mid-append leaves; the loader drops it and counts it.  A bad frame
+//     with bytes after it is corruption and is refused with its offset.
+//
+// CRC-32 words are stored as u64.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,23 +74,35 @@ class CampaignLog {
   /// Experiment ids in the log, sorted (after dedupe()).
   std::vector<ExperimentId> ids() const;
 
-  /// Binary (de)serialisation.  Format v2 frames the payload with a magic
-  /// number, a version word and a trailing CRC-32 of everything before it,
-  /// so torn writes and bit rot are detected instead of silently yielding a
-  /// short or garbled log.  On failure deserialize()/load() return nullopt
-  /// and, when `error` is non-null, store a one-line diagnosis there
-  /// (bad magic / unsupported version / CRC mismatch / truncated / ...).
+  /// Binary (de)serialisation.  serialize() and save() write the v3
+  /// image; deserialize() and load() read v2, v3 and v4 (see the top of
+  /// this file).  On failure they return nullopt and, when `error` is
+  /// non-null, store a one-line diagnosis there (bad magic / unsupported
+  /// version / CRC mismatch / truncated / corrupt frame at an offset /
+  /// ...); load() prefixes it with the path.  A v4 load drops a torn last
+  /// frame and, when `torn_frames` is non-null, stores how many it dropped
+  /// (0 or 1) there.  Records load in file order, duplicates included.
   std::string serialize() const;
-  static std::optional<CampaignLog> deserialize(const std::string& payload,
-                                                std::string* error = nullptr);
+  static std::optional<CampaignLog> deserialize(
+      const std::string& payload, std::string* error = nullptr,
+      std::uint64_t* torn_frames = nullptr);
   bool save(const std::string& path) const;
   static std::optional<CampaignLog> load(const std::string& path,
-                                         std::string* error = nullptr);
+                                         std::string* error = nullptr,
+                                         std::uint64_t* torn_frames = nullptr);
 
  private:
   std::string config_key_;
   std::vector<ExperimentRecord> records_;
 };
+
+/// The v4 journal header for `config_key`: magic, version 4, the key and a
+/// CRC-32 of those bytes.  A journal with no records is just this.
+std::string encode_journal_header(const std::string& config_key);
+
+/// One v4 journal frame: the record count, the records in the image's
+/// encoding and a CRC-32 of the frame.
+std::string encode_journal_frame(std::span<const ExperimentRecord> records);
 
 /// What the masked replay of a log did.
 struct ReplayStats {

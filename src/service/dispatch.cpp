@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -437,43 +436,15 @@ DistributedRunResult ChunkDispatcher::run_job(
     const fi::Program& program, const fi::GoldenRun& golden,
     std::span<const campaign::ExperimentId> ids,
     const DistributedJobOptions& options) {
-  if (options.path.empty()) {
-    throw std::invalid_argument("run_job: journal path is empty");
-  }
   const std::size_t flush_every =
       std::max<std::size_t>(1, options.flush_every);
-  const std::string config_key = program.config_key();
 
+  campaign::CampaignJournal journal(options.path, program.config_key(),
+                                    options.telemetry);
   DistributedRunResult result;
-  std::error_code ec;
-  if (std::filesystem::exists(options.path, ec)) {
-    std::string error;
-    auto journal = campaign::CampaignLog::load(options.path, &error);
-    if (!journal) {
-      throw std::runtime_error("run_job: " + error);
-    }
-    if (journal->config_key() != config_key) {
-      throw std::invalid_argument("run_job: journal '" + options.path +
-                                  "' belongs to configuration '" +
-                                  journal->config_key() + "', not '" +
-                                  config_key + "'");
-    }
-    result.log = std::move(*journal);
-    result.resumed = true;
-  } else {
-    result.log = campaign::CampaignLog(config_key);
-  }
-
-  std::unordered_set<campaign::ExperimentId> done_ids;
-  done_ids.reserve(result.log.size());
-  for (const campaign::ExperimentRecord& record : result.log.records()) {
-    done_ids.insert(record.id);
-  }
-  std::vector<campaign::ExperimentId> remaining;
-  remaining.reserve(ids.size());
-  for (const campaign::ExperimentId id : ids) {
-    if (done_ids.count(id) == 0) remaining.push_back(id);
-  }
+  result.resumed = journal.resumed();
+  result.torn_frames = journal.torn_frames();
+  const std::vector<campaign::ExperimentId> remaining = journal.owed(ids);
   result.skipped = ids.size() - remaining.size();
 
   telemetry::SpanScope span(options.telemetry, "dispatch.job", "dispatch");
@@ -528,20 +499,6 @@ DistributedRunResult ChunkDispatcher::run_job(
     return *local;
   };
 
-  const auto flush = [&] {
-    telemetry::SpanScope flush_span(options.telemetry, "checkpoint.flush",
-                                    "checkpoint");
-    flush_span.arg("records", static_cast<double>(result.log.size()));
-    if (!result.log.save(options.path)) {
-      throw std::runtime_error("run_job: cannot write journal '" +
-                               options.path + "'");
-    }
-    ++result.flushes;
-    if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics().counter("checkpoint.flushes").add();
-    }
-  };
-
   const auto combined_stats = [&] {
     campaign::SupervisorStats stats;
     if (local) stats = local->stats();
@@ -554,12 +511,13 @@ DistributedRunResult ChunkDispatcher::run_job(
     return stats;
   };
 
-  const auto report = [&](std::span<const campaign::ExperimentRecord> chunk) {
+  const auto report = [&](std::span<const campaign::ExperimentRecord> chunk,
+                          std::size_t logged) {
     if (!options.on_progress) return;
     campaign::CheckpointProgress progress;
     progress.executed = result.executed;
     progress.total = remaining.size();
-    progress.logged = result.log.size();
+    progress.logged = logged;
     progress.chunk = chunk;
     const campaign::SupervisorStats stats_copy = combined_stats();
     progress.supervisor = &stats_copy;
@@ -582,7 +540,7 @@ DistributedRunResult ChunkDispatcher::run_job(
           // Belt and braces: chunks are disjoint and have one winner, so
           // this filter should never drop anything -- but a duplicate id
           // must not reach the journal even if that invariant breaks.
-          if (done_ids.insert(record.id).second) {
+          if (journal.claim(record.id)) {
             fresh.push_back(std::move(record));
           }
         }
@@ -596,9 +554,8 @@ DistributedRunResult ChunkDispatcher::run_job(
               .counter("checkpoint.experiments")
               .add(fresh.size());
         }
-        result.log.append(fresh);
-        flush();
-        report(fresh);
+        journal.append(fresh);
+        report(fresh, journal.size());
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -645,9 +602,9 @@ DistributedRunResult ChunkDispatcher::run_job(
     for (auto& [id, worker] : workers_) worker.leased.clear();
   }
 
-  result.log.dedupe();
-  flush();
-  report({});
+  result.log = journal.finish();
+  result.flushes = journal.flushes();
+  report({}, result.log.size());
   if (local) result.supervisor_stats = local->stats();
   result.supervisor_stats.worker_deaths += result.dispatch.remote_worker_deaths;
   result.supervisor_stats.worker_hangs += result.dispatch.remote_worker_hangs;

@@ -23,12 +23,13 @@
 //     through the same CampaignSupervisor the non-distributed path uses, so
 //     ftb_served alone still completes every job.
 //
-// Results merge into the same CRC-framed .clog journal as the local path,
-// flushed after every completed chunk on the runner thread (file I/O never
-// runs on the event loop).  Experiment outcomes are deterministic and the
-// final dedupe() sorts by id, so the finished journal -- and the boundary
-// inferred from it -- is byte-identical to a local-only run no matter which
-// worker executed what, how many leases expired, or where a kill -9 landed.
+// Results merge into the same append-only .clog journal as the local path
+// (campaign::CampaignJournal): one CRC-framed frame per completed chunk,
+// appended on the runner thread (file I/O never runs on the event loop).
+// Experiment outcomes are deterministic and the final compaction dedupes
+// and sorts by id, so the finished journal -- and the boundary inferred
+// from it -- is byte-identical to a local-only run no matter which worker
+// executed what, how many leases expired, or where a kill -9 landed.
 //
 // Threading: WorkerHello/Heartbeat/ChunkResult/disconnect/tick arrive on
 // the server's event-loop thread; run_job() executes on the job-runner
@@ -134,6 +135,7 @@ struct DistributedRunResult {
   std::uint64_t skipped = 0;
   std::uint64_t executed = 0;
   std::uint64_t flushes = 0;
+  std::uint64_t torn_frames = 0;  ///< torn journal frames dropped at open
   bool stopped = false;
   campaign::SupervisorStats supervisor_stats;  ///< local co-exec + remote deltas
   DispatchStats dispatch;

@@ -373,6 +373,7 @@ void JobRunner::execute_campaign(const CampaignJob& job) {
       run.skipped = dres.skipped;
       run.executed = dres.executed;
       run.flushes = dres.flushes;
+      run.torn_frames = dres.torn_frames;
       run.stopped = dres.stopped;
       run.supervisor_stats = dres.supervisor_stats;
       if (telemetry::active(options_.telemetry)) {

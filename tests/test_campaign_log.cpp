@@ -394,6 +394,61 @@ TEST(CampaignLogFuzz, CorruptedFrameKeepsDecodedStateUnobservable) {
   }
 }
 
+/// Overwrites the u64 at `offset` of a v3 image and re-seals its CRC, as a
+/// crafted (not rotted) file would.
+std::string forge_u64(std::string payload, std::size_t offset,
+                      std::uint64_t value) {
+  const auto put = [&](std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      payload[at + i] = static_cast<char>(v >> (8 * i));
+    }
+  };
+  put(offset, value);
+  const std::size_t body = payload.size() - 8;
+  put(body, util::crc32(reinterpret_cast<const std::uint8_t*>(payload.data()),
+                        body));
+  return payload;
+}
+
+TEST(CampaignLogFuzz, ForgedRecordCountIsDiagnosedNotAllocated) {
+  Prepared p("daxpy");
+  const CampaignLog log = make_log(p, 24, 8);
+  // The count follows magic, version and the length-prefixed key.
+  const std::size_t count_at = 3 * 8 + log.config_key().size();
+  for (const std::uint64_t count : {std::uint64_t{1} << 61,
+                                    std::uint64_t{1} << 36}) {
+    std::string error;
+    const auto loaded = CampaignLog::deserialize(
+        forge_u64(log.serialize(), count_at, count), &error);
+    EXPECT_FALSE(loaded.has_value()) << count;
+    EXPECT_NE(error.find("declares " + std::to_string(count) + " records"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(CampaignLogFuzz, ForgedFrameCountLoadsOnlyTheFramesBeforeIt) {
+  // In a v4 journal a count that runs past end-of-file reads as a torn
+  // append: the frames before it load, nothing is reserved for it.
+  Prepared p("daxpy");
+  const CampaignLog log = make_log(p, 25, 8);
+  const std::span<const ExperimentRecord> records = log.records();
+  const std::string header = encode_journal_header(log.config_key());
+  const std::string first = encode_journal_frame(records.first(4));
+  const std::string second = forge_u64(
+      encode_journal_frame(records.subspan(4)), 0, std::uint64_t{1} << 61);
+  std::string error;
+  std::uint64_t torn = 0;
+  const auto loaded =
+      CampaignLog::deserialize(header + first + second, &error, &torn);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(torn, 1u);
+  ASSERT_EQ(loaded->size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(loaded->records()[i].id, records[i].id);
+  }
+}
+
 TEST(CampaignLog, RejectsWrongProgram) {
   Prepared p("daxpy");
   CampaignLog log("not-this-program");

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -304,6 +305,37 @@ class DispatchTest : public ::testing::Test {
     return run.log.serialize();
   }
 
+  /// The journal of a local run of `req` as it stood right after its
+  /// `flushes`-th chunk flush, cut `torn` bytes into that chunk's frame.
+  std::string in_flight_journal(const SubmitCampaignReq& req,
+                                std::size_t flushes, std::size_t torn) {
+    const fi::ProgramPtr program = kernels::make_program(
+        req.kernel, kernels::preset_from_string(req.preset));
+    const fi::GoldenRun golden = fi::run_golden(*program);
+    util::Rng rng(req.seed);
+    const auto ids =
+        campaign::sample_uniform(rng, golden.sample_space_size(), req.batch);
+    campaign::CheckpointOptions options;
+    options.path = (dir_ / "in_flight.clog").string();
+    options.flush_every = req.flush_every;
+    std::string bytes;
+    std::size_t seen = 0;
+    options.on_progress = [&](const campaign::CheckpointProgress& progress) {
+      if (progress.chunk.empty() || ++seen != flushes) return;
+      bytes = read_bytes(options.path);
+      bytes.resize(bytes.size() - 16 - progress.chunk.size() * 7 * 8 + torn);
+    };
+    (void)campaign::run_campaign_checkpointed(*program, golden, ids, options);
+    fs::remove(options.path);
+    return bytes;
+  }
+
+  static std::string read_bytes(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
   std::string journal_bytes(const std::string& key) {
     std::string error;
     const auto log =
@@ -422,6 +454,51 @@ TEST_F(DispatchTest, RemoteExecutionLeavesByteIdenticalJournal) {
   EXPECT_GT(counter("dispatch.chunks_remote"), 0u)
       << "no chunk actually ran remotely";
   EXPECT_EQ(journal_bytes("daxpy@tiny@11"), reference_journal(req));
+}
+
+// A killed run's in-flight journal, torn inside its last frame, resumes
+// through remote workers: the torn frame is dropped and re-run, and the
+// finished file is byte-for-byte the image an uninterrupted run leaves.
+TEST_F(DispatchTest, RemoteRunResumesFromInFlightJournal) {
+  SubmitCampaignReq req;
+  req.kernel = "daxpy";
+  req.preset = "tiny";
+  req.seed = 71;
+  req.batch = 400;
+  req.flush_every = 50;
+  const std::string in_flight = in_flight_journal(req, 3, 100);
+  ASSERT_FALSE(in_flight.empty());
+  {
+    std::ofstream out(dir_ / "daxpy@tiny@71.clog", std::ios::binary);
+    out.write(in_flight.data(), static_cast<std::streamsize>(in_flight.size()));
+  }
+
+  start();
+  WorkerAgentOptions agent_options;
+  agent_options.port = server_->port();
+  agent_options.name = "agent-a";
+  agent_options.capacity = 2;
+  WorkerAgent agent_a(agent_options);
+  agent_options.name = "agent-b";
+  WorkerAgent agent_b(agent_options);
+  std::thread thread_a([&] { agent_a.serve(); });
+  std::thread thread_b([&] { agent_b.serve(); });
+  ASSERT_TRUE(wait_for_workers(2));
+
+  const SubmitOutcome outcome = submit_and_wait(req);
+  agent_a.request_stop();
+  agent_b.request_stop();
+  thread_a.join();
+  thread_b.join();
+  ASSERT_TRUE(outcome.done.has_value()) << outcome.error;
+  EXPECT_TRUE(outcome.done->ok) << outcome.done->error;
+  EXPECT_EQ(outcome.done->skipped, 100u);  // two whole frames survived
+  EXPECT_EQ(outcome.done->executed, 300u);
+  EXPECT_EQ(counter("checkpoint.torn_frames"), 1u);
+  EXPECT_GT(counter("dispatch.chunks_remote"), 0u)
+      << "no chunk actually ran remotely";
+  EXPECT_TRUE(read_bytes(dir_ / "daxpy@tiny@71.clog") ==
+              reference_journal(req));
 }
 
 // A worker that takes a lease and dies (connection drop, as after SIGKILL)

@@ -144,6 +144,26 @@ TEST(Serialize, LegacyV1PayloadLoads) {
   EXPECT_FALSE(error2.empty());
 }
 
+// A v1 file has no CRC (and a CRC would not stop a crafted one): a forged
+// site count must be refused before anything is reserved for it.
+TEST(Serialize, ForgedSiteCountIsDiagnosedNotAllocated) {
+  for (const std::uint64_t sites : {std::uint64_t{1} << 61,
+                                    std::uint64_t{1} << 36}) {
+    util::BinaryWriter writer;
+    writer.put_u64(0x4654422d424e4452ull);  // "FTB-BNDR"
+    writer.put_u64(1);                      // legacy version, no CRC
+    writer.put_string("");
+    writer.put_u64(sites);
+    writer.put_u64(0);
+    const std::string payload{writer.buffer().begin(), writer.buffer().end()};
+    std::string error;
+    EXPECT_FALSE(deserialize_artifact(payload, {}, &error).has_value());
+    EXPECT_NE(error.find("declares " + std::to_string(sites) + " sites"),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST(Serialize, UnsupportedVersionDiagnosed) {
   util::BinaryWriter writer;
   writer.put_u64(0x4654422d424e4452ull);

@@ -14,6 +14,7 @@
 #include "campaign/log.h"
 #include "campaign/sampler.h"
 #include "kernels/registry.h"
+#include "util/cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -104,6 +105,34 @@ TEST_F(StoreTest, RejectsCorruptArtifactWithDiagnostic) {
   EXPECT_NE(diagnostics[0].find("daxpy@tiny@1.boundary"), std::string::npos)
       << diagnostics[0];
   EXPECT_EQ(store.find("daxpy@tiny@1"), nullptr);
+}
+
+// A forged element count in one artifact must cost that artifact only:
+// the store rejects it with a diagnostic and serves the rest (a daemon
+// booting on this directory used to abort on std::length_error).
+TEST_F(StoreTest, ForgedSiteCountRejectsOneArtifactAndServesTheRest) {
+  write_real_artifact(2);
+  {
+    util::BinaryWriter writer;
+    writer.put_u64(0x4654422d424e4452ull);  // "FTB-BNDR"
+    writer.put_u64(1);                      // v1: no CRC to get past
+    writer.put_string("");
+    writer.put_u64(std::uint64_t{1} << 61);  // sites
+    writer.put_u64(0);
+    std::ofstream out(dir_ / "daxpy@tiny@1.boundary", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(writer.buffer().data()),
+              static_cast<std::streamsize>(writer.buffer().size()));
+  }
+  BoundaryStore store;
+  std::vector<std::string> diagnostics;
+  EXPECT_EQ(store.load_directory(dir_.string(), &diagnostics), 1u);
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_NE(diagnostics[0].find("daxpy@tiny@1.boundary"), std::string::npos)
+      << diagnostics[0];
+  EXPECT_NE(diagnostics[0].find("sites"), std::string::npos)
+      << diagnostics[0];
+  EXPECT_EQ(store.find("daxpy@tiny@1"), nullptr);
+  EXPECT_NE(store.find("daxpy@tiny@2"), nullptr);
 }
 
 TEST_F(StoreTest, RejectsUnparsableStemAndUnknownKernel) {

@@ -379,6 +379,10 @@ int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
                 static_cast<unsigned long long>(run.skipped),
                 static_cast<unsigned long long>(ids.size()), path.c_str());
   }
+  if (run.torn_frames > 0) {
+    std::printf("torn tail         : %llu journal frame dropped and re-run\n",
+                static_cast<unsigned long long>(run.torn_frames));
+  }
   std::printf("executed          : %llu experiments, %llu journal flushes\n",
               static_cast<unsigned long long>(run.executed),
               static_cast<unsigned long long>(run.flushes));
