@@ -30,7 +30,10 @@
 // propagation_cutoff() is already final, the buffer's largest value is
 // simply the max of the values below it, and a replay can pre-filter and
 // max-fold in any order and on any number of threads, handing each site a
-// single value.
+// single value.  A checkpointed campaign hands over the same single value
+// without waiting for the log to finish (campaign/evidence.h): it folds
+// into one max per interval between a site's candidate cutoffs -- the
+// injected errors its own experiments can have -- until the site settles.
 #pragma once
 
 #include <cstdint>

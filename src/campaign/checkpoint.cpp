@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -123,11 +124,25 @@ CheckpointRunResult run_campaign_checkpointed(
   CheckpointRunResult result;
   result.resumed = journal.resumed();
   result.torn_frames = journal.torn_frames();
-  const std::vector<ExperimentId> remaining = journal.owed(ids);
+  std::vector<ExperimentId> remaining = journal.owed(ids);
   result.skipped = ids.size() - remaining.size();
 
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::default_pool();
+
+  // First-pass evidence where the executor can fold: the in-process pool,
+  // or the supervised pool without snapshots.  Descending site order lets
+  // the sites above the chunk in flight settle first.
+  std::optional<FirstPass> first;
+  if (options.use_supervisor ? !options.supervisor.pool.use_snapshots
+                             : !options.use_sandbox) {
+    std::sort(remaining.begin(), remaining.end(), std::greater<>());
+    first.emplace(golden, journal.records(), remaining,
+                  options.use_supervisor
+                      ? static_cast<std::size_t>(
+                            std::max(options.supervisor.pool.workers, 0))
+                      : pool.thread_count());
+  }
 
   // One supervisor for the whole invocation: the worker pool is forked
   // once, and the quarantine ledger accumulates across chunks.
@@ -136,6 +151,12 @@ CheckpointRunResult run_campaign_checkpointed(
     SupervisorOptions supervisor_options = options.supervisor;
     if (supervisor_options.telemetry == nullptr) {
       supervisor_options.telemetry = options.telemetry;
+    }
+    if (first && first->ok()) {
+      supervisor_options.pool.run_experiment =
+          [&](const fi::Injection& injection, std::size_t slot) {
+            return first->run(program, golden, injection, slot);
+          };
     }
     // Density hints for snapshot placement: the ids still owed are exactly
     // where this invocation will fork, so hand their sites to
@@ -180,8 +201,16 @@ CheckpointRunResult run_campaign_checkpointed(
                                     "checkpoint");
     chunk_span.arg("experiments", static_cast<double>(chunk.size()));
     std::vector<ExperimentRecord> batch;
+    // The chunk's partials are kept unless a worker died or hung, or the
+    // in-process fallback ran experiments that did not fold.
+    bool keep = true;
     if (supervisor) {
+      const SupervisorStats before = supervisor->stats();
       batch = supervisor->run(chunk);
+      const SupervisorStats after = supervisor->stats();
+      keep = after.worker_deaths == before.worker_deaths &&
+             after.worker_hangs == before.worker_hangs &&
+             after.fallback_experiments == before.fallback_experiments;
     } else if (options.use_sandbox) {
       // run_injected_sandboxed resets its stats output per batch, so
       // accumulate chunk stats by hand.  timeout_ms = 0 would disable the
@@ -206,8 +235,9 @@ CheckpointRunResult run_campaign_checkpointed(
       result.sandbox_stats.fallback_experiments +=
           chunk_stats.fallback_experiments;
     } else {
-      batch = run_experiments(program, golden, chunk, pool);
+      batch = first->run_chunk(program, golden, chunk, pool);
     }
+    if (first) first->settle(batch, keep);
     result.executed += batch.size();
     if (telemetry::active(options.telemetry)) {
       options.telemetry->metrics()
@@ -223,6 +253,7 @@ CheckpointRunResult run_campaign_checkpointed(
   result.flushes = journal.flushes();
   report({}, result.log.size());
   if (supervisor) result.supervisor_stats = supervisor->stats();
+  if (first) result.evidence = first->finish();
   return result;
 }
 

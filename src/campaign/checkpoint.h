@@ -13,6 +13,11 @@
 // the journal is compacted into the deduped v3 image -- byte-identical to
 // what an uninterrupted run would have produced (experiment outcomes are
 // deterministic).
+//
+// Where the executor can -- the in-process pool, and the supervised pool's
+// forked workers -- the run also folds the boundary evidence of its masked
+// experiments as they finish (campaign/evidence.h) and returns it, so
+// fold_log_evidence replays only the records that have none.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "campaign/evidence.h"
 #include "campaign/log.h"
 #include "campaign/sample_space.h"
 #include "campaign/supervisor.h"
@@ -128,6 +134,10 @@ class CampaignJournal {
 
   std::size_t size() const noexcept { return log_.size(); }
   bool resumed() const noexcept { return resumed_; }
+  /// The records journaled so far; right after open, the loaded ones.
+  std::span<const ExperimentRecord> records() const noexcept {
+    return log_.records();
+  }
   std::uint64_t torn_frames() const noexcept { return torn_frames_; }
   /// Appends plus the final compaction.
   std::uint64_t flushes() const noexcept { return flushes_; }
@@ -155,10 +165,18 @@ struct CheckpointRunResult {
   bool stopped = false;         ///< should_stop fired; journal is resumable
   fi::SandboxStats sandbox_stats;  ///< populated when use_sandbox
   SupervisorStats supervisor_stats;  ///< populated when use_supervisor
+  /// Boundary evidence of the masked runs this invocation folded; pass it
+  /// to fold_log_evidence / boundary_from_log with `log`.  Records loaded at
+  /// open, and those run by the per-batch sandbox, the snapshot server, the
+  /// in-process fallback or in a chunk with a worker death or hang, are not
+  /// covered and get replayed.
+  FirstPassEvidence evidence;
 };
 
 /// Runs (or resumes) the listed experiments with a journal append after
-/// every chunk.  Throws std::invalid_argument if options.path is empty or
+/// every chunk.  Where the executor folds evidence (the in-process pool;
+/// the supervisor without snapshots), owed ids run in descending site order
+/// and the settled cutoffs are published between chunks.  Throws std::invalid_argument if options.path is empty or
 /// an existing journal belongs to a different program configuration, and
 /// std::runtime_error if the journal exists but is corrupt or a flush
 /// cannot be written.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "fi/outcome.h"
@@ -312,33 +313,57 @@ LogEvidence fold_log_evidence(const fi::Program& program,
                               const boundary::AccumulatorOptions& options,
                               util::ThreadPool& pool,
                               telemetry::Telemetry* telemetry,
-                              ReplayWindow window) {
+                              ReplayWindow window,
+                              const FirstPassEvidence* first) {
   telemetry::SpanScope span(telemetry, "boundary.replay", "boundary");
   const std::size_t sites = golden.trace.size();
   LogEvidence evidence{boundary::BoundaryAccumulator(sites, options), {}, 0.0};
+  ReplayStats& stats = evidence.stats;
 
   // Record pass: injected-error evidence straight from the classic records
   // (burst and memory-resident ones describe another fault model).  It runs
   // to completion first, so every site's cutoff is final before the first
-  // propagation value is folded.
-  std::vector<ExperimentId> masked_ids;
+  // propagation value is folded.  `cutoff` starts as the filter's cutoff
+  // whether or not the filter is on: the one first-pass evidence was
+  // folded against.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> cutoff(sites, kInf);
   for (const ExperimentRecord& record : log.records()) {
     if (!is_classic(record.id)) continue;
-    evidence.accumulator.record_injection(site_of(record.id),
-                                          bit_of(record.id),
+    const std::uint64_t site = site_of(record.id);
+    evidence.accumulator.record_injection(site, bit_of(record.id),
                                           record.result.outcome,
                                           record.result.injected_error);
-    if (record.result.outcome == fi::Outcome::kMasked) {
-      masked_ids.push_back(record.id);
+    if (record.result.outcome == fi::Outcome::kSdc &&
+        std::isfinite(record.result.injected_error)) {
+      cutoff[site] = std::min(cutoff[site], record.result.injected_error);
     }
-  }
-  std::vector<double> cutoff(sites);
-  for (std::size_t j = 0; j < sites; ++j) {
-    cutoff[j] = evidence.accumulator.propagation_cutoff(j);
   }
   const std::uint64_t window_begin =
       std::min<std::uint64_t>(window.begin, sites);
   const std::uint64_t window_end = std::min<std::uint64_t>(window.end, sites);
+
+  // First-pass evidence stands in for the masked records it covers.
+  std::vector<double> folded;
+  const bool use_first = first != nullptr && !first->empty() &&
+                         first->resolve(cutoff, options.filter, folded);
+  stats.first_pass_dropped = first != nullptr && !first->empty() && !use_first;
+  if (use_first) {
+    evidence.window_max = first->window_max(window_begin, window_end);
+  }
+  if (!options.filter) cutoff.assign(sites, kInf);  // propagation_cutoff()
+  std::vector<ExperimentId> masked_ids;
+  for (const ExperimentRecord& record : log.records()) {
+    if (!is_classic(record.id) ||
+        record.result.outcome != fi::Outcome::kMasked) {
+      continue;
+    }
+    if (use_first && first->covers(record.id)) {
+      ++stats.folded;
+    } else {
+      masked_ids.push_back(record.id);
+    }
+  }
 
   // Replay: diffs are zero before the injection site, so only the suffix
   // is folded.  `v < cutoff` also rejects +inf and NaN.
@@ -384,7 +409,6 @@ LogEvidence fold_log_evidence(const fi::Program& program,
     pool.wait_idle();
   }
 
-  ReplayStats& stats = evidence.stats;
   stats.threads = partials.size();
   for (const ReplayPartial& part : partials) {
     evidence.window_max = std::max(evidence.window_max, part.window_max);
@@ -392,7 +416,7 @@ LogEvidence fold_log_evidence(const fi::Program& program,
     stats.mismatches += part.mismatches;
   }
   for (std::size_t j = 0; j < sites; ++j) {
-    double value = 0.0;
+    double value = folded.empty() ? 0.0 : folded[j];
     for (const ReplayPartial& part : partials) {
       value = std::max(value, part.best[j]);
     }
@@ -402,6 +426,7 @@ LogEvidence fold_log_evidence(const fi::Program& program,
   span.arg("replayed", static_cast<double>(stats.replayed));
   span.arg("threads", static_cast<double>(stats.threads));
   span.arg("mismatches", static_cast<double>(stats.mismatches));
+  span.arg("folded", static_cast<double>(stats.folded));
   if (telemetry::active(telemetry)) {
     telemetry->metrics()
         .counter("boundary.replay_mismatches")
@@ -413,12 +438,14 @@ LogEvidence fold_log_evidence(const fi::Program& program,
 boundary::FaultToleranceBoundary boundary_from_log(
     const fi::Program& program, const fi::GoldenRun& golden,
     const CampaignLog& log, const boundary::AccumulatorOptions& options,
-    util::ThreadPool& pool, telemetry::Telemetry* telemetry) {
+    util::ThreadPool& pool, telemetry::Telemetry* telemetry,
+    const FirstPassEvidence* first) {
   if (log.config_key() != program.config_key()) {
     throw std::invalid_argument(
         "boundary_from_log: log was recorded for a different configuration");
   }
-  return fold_log_evidence(program, golden, log, options, pool, telemetry)
+  return fold_log_evidence(program, golden, log, options, pool, telemetry, {},
+                           first)
       .accumulator.finalize();
 }
 

@@ -10,7 +10,8 @@
 //   * boundaries can be *rebuilt* from a log under different analysis
 //     settings (e.g. filter on/off) by re-running only the masked
 //     experiments in compare mode (fold_log_evidence) -- a small fraction
-//     of the original cost.
+//     of the original cost.  A checkpointed run folds that evidence while
+//     it runs (campaign/evidence.h), so only records without it replay.
 //
 // On disk a log takes one of two shapes, both starting with the magic
 // "FTB-CLOG" and a version word, and both storing each record as the same
@@ -41,6 +42,7 @@
 #include "boundary/accumulator.h"
 #include "boundary/boundary.h"
 #include "campaign/campaign.h"
+#include "campaign/evidence.h"
 #include "fi/executor.h"
 #include "fi/program.h"
 #include "telemetry/events.h"
@@ -109,6 +111,8 @@ struct ReplayStats {
   std::uint64_t replayed = 0;    // masked classic records re-run
   std::uint64_t mismatches = 0;  // re-runs that did not re-classify Masked
   std::size_t threads = 0;       // workers that shared the replay
+  std::uint64_t folded = 0;      // masked records the first pass covered
+  bool first_pass_dropped = false;  // first-pass evidence did not resolve
 };
 
 /// Sites [begin, end) whose *unfiltered* propagation maximum a caller wants
@@ -130,34 +134,46 @@ struct LogEvidence {
   double window_max = 0.0;
 };
 
-/// Builds a log's boundary evidence in two passes.  The record pass feeds
-/// every classic record's injected error to the accumulator, which fixes
-/// each site's final propagation_cutoff().  The replay then re-runs the
-/// masked classic records in Compare mode on the pool's workers; each
-/// worker folds diffs[j] for j >= the injection site into a private
-/// per-site max when the value is finite, positive and below the cutoff.
-/// The partials merge with max and each site's value enters the
-/// accumulator once, so the result is byte-identical to a serial fold for
-/// every thread count and order.  Only re-runs that re-classify Masked are
-/// folded -- Algorithm 1's guard; a record whose replay disagrees (a forged
-/// or foreign journal) is dropped and counted in `stats.mismatches`.
-/// Burst and memory-resident records (fi/memfault.h) describe a different
-/// fault model than the boundary and are skipped.  With an active
-/// `telemetry`, records a `boundary.replay` span (replayed, threads,
-/// mismatches) and the counter `boundary.replay_mismatches`.
+/// Builds a log's boundary evidence.  The record pass feeds every classic
+/// record's injected error to the accumulator, which fixes each site's
+/// final propagation_cutoff().  Each site then takes one propagation value:
+/// the largest finite, positive diff below its cutoff that a masked run
+/// showed there, from two sources merged by max.
+///
+///   * `first`, the evidence run_campaign_checkpointed folded as it ran
+///     (campaign/evidence.h), resolved against the final cutoffs.  It
+///     covers the masked records its run executed with folding on.
+///   * The replay of every other masked classic record: re-run in Compare
+///     mode on the pool's workers, each folding diffs[j] for j >= the
+///     injection site into a private per-site max below the cutoff.  Only
+///     re-runs that re-classify Masked are folded -- Algorithm 1's guard; a
+///     record whose replay disagrees (a forged or foreign journal) is
+///     dropped and counted in `stats.mismatches`.
+///
+/// Both merge by max and each site's value enters the accumulator once, so
+/// the result is byte-identical to a serial fold for every thread count,
+/// order and split between the two.  Evidence that does not resolve
+/// against this log's cutoffs is dropped whole and everything replays
+/// (`stats.first_pass_dropped`).  Burst and memory-resident records
+/// (fi/memfault.h) describe a different fault model than the boundary and
+/// are skipped.  With an active `telemetry`, records a `boundary.replay`
+/// span (replayed, threads, mismatches, folded) and the counter
+/// `boundary.replay_mismatches`.
 LogEvidence fold_log_evidence(const fi::Program& program,
                               const fi::GoldenRun& golden,
                               const CampaignLog& log,
                               const boundary::AccumulatorOptions& options,
                               util::ThreadPool& pool,
                               telemetry::Telemetry* telemetry = nullptr,
-                              ReplayWindow window = {});
+                              ReplayWindow window = {},
+                              const FirstPassEvidence* first = nullptr);
 
 /// Rebuilds a boundary from a log through fold_log_evidence.  The program
 /// configuration must match the log's key (checked).
 boundary::FaultToleranceBoundary boundary_from_log(
     const fi::Program& program, const fi::GoldenRun& golden,
     const CampaignLog& log, const boundary::AccumulatorOptions& options,
-    util::ThreadPool& pool, telemetry::Telemetry* telemetry = nullptr);
+    util::ThreadPool& pool, telemetry::Telemetry* telemetry = nullptr,
+    const FirstPassEvidence* first = nullptr);
 
 }  // namespace ftb::campaign

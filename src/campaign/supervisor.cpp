@@ -1,11 +1,9 @@
 #include "campaign/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "telemetry/events.h"
 
@@ -224,8 +222,7 @@ std::vector<ExperimentRecord> CampaignSupervisor::run(
     }
 
     if (events.empty() && !dispatched && (!pending.empty() || outstanding > 0)) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.poll_interval_us));
+      pool_.wait(options_.poll_interval_us);
     }
   }
 

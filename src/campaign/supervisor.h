@@ -69,7 +69,9 @@ struct SupervisorOptions {
   /// quarantined -- recorded as Crash/kQuarantined and never retried.
   int quarantine_after = 3;
 
-  /// Supervisor poll cadence while all workers are busy.
+  /// Longest wait between polls while all workers are busy.  A finished
+  /// chunk wakes the supervisor at once (fi::WorkerPool::wait); deaths and
+  /// hangs are found at this cadence.
   std::uint32_t poll_interval_us = 200;
 
   /// Once the pool has shrunk to zero workers, run the remaining

@@ -17,6 +17,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define FTB_SANDBOX_POSIX 1
 #include <errno.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/types.h>
@@ -454,11 +456,13 @@ bool write_full_nosigpipe(int fd, const void* buffer, std::size_t bytes) {
 }
 
 /// Worker body: block on the command pipe, run the announced chunk out of
-/// shared memory, repeat.  Exits 0 on EOF/shutdown, 2 on an unexpected
-/// exception (the parent classifies that as kAbnormalExit).  Never returns.
+/// shared memory, signal its end with one byte on `wake_fd`, repeat.  Exits
+/// 0 on EOF/shutdown, 2 on an unexpected exception (the parent classifies
+/// that as kAbnormalExit).  Never returns.
 [[noreturn]] void pool_worker_main(const Program& program,
                                    const GoldenRun& golden, PoolShm& shm,
-                                   int command_fd,
+                                   int command_fd, int wake_fd,
+                                   std::size_t slot,
                                    const WorkerPoolOptions& options) {
 #if defined(__linux__)
   // Die with the supervisor: a SIGKILLed campaign must not leak workers
@@ -494,8 +498,9 @@ bool write_full_nosigpipe(int fd, const void* buffer, std::size_t bytes) {
       try {
         const ExperimentResult result =
             server != nullptr ? server->run(shm.injections[i])
-                              : run_injected(program, golden,
-                                             shm.injections[i]);
+            : options.run_experiment
+                ? options.run_experiment(shm.injections[i], slot)
+                : run_injected(program, golden, shm.injections[i]);
         encode_slot(shm.slots[i], result);
       } catch (...) {
         ::_exit(2);
@@ -506,7 +511,11 @@ bool write_full_nosigpipe(int fd, const void* buffer, std::size_t bytes) {
     // The final done-store above is the worker's last shared write before
     // it blocks on read() again, so once the parent has observed
     // done == count it may safely reset the counters and write the next
-    // chunk's injections.
+    // chunk's injections.  The wake byte only cuts the parent's wait
+    // short; the pipe is non-blocking, and a full one already holds a
+    // wake-up, so a failed write loses nothing.
+    const char wake = 1;
+    (void)!::write(wake_fd, &wake, 1);
   }
 }
 
@@ -537,6 +546,10 @@ struct WorkerPool::Impl {
   WorkerPoolStats stats;
   std::vector<Slot> slots;
   bool shut_down = false;
+  // Pool-wide chunk-end signal: workers write, wait() reads.  Both ends are
+  // non-blocking.
+  int wake_read = -1;
+  int wake_write = -1;
 
   Impl(const Program& program_in, const GoldenRun& golden_in,
        WorkerPoolOptions options_in)
@@ -545,6 +558,15 @@ struct WorkerPool::Impl {
         options(std::move(options_in)) {
     if (options.workers < 0) options.workers = 0;
     if (options.chunk_capacity == 0) options.chunk_capacity = 1;
+    int wake[2];
+    if (::pipe(wake) == 0) {
+      for (const int fd : wake) {
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+        ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+      }
+      wake_read = wake[0];
+      wake_write = wake[1];
+    }
     slots = std::vector<Slot>(static_cast<std::size_t>(options.workers));
     for (Slot& slot : slots) {
       if (!spawn(slot, /*is_respawn=*/false)) {
@@ -585,7 +607,9 @@ struct WorkerPool::Impl {
       for (const Slot& other : slots) {
         if (other.command_write >= 0) ::close(other.command_write);
       }
-      pool_worker_main(program, golden, slot.shm, fds[0],
+      if (wake_read >= 0) ::close(wake_read);
+      pool_worker_main(program, golden, slot.shm, fds[0], wake_write,
+                       static_cast<std::size_t>(&slot - slots.data()),
                        options);  // never returns
     }
     ::close(fds[0]);
@@ -667,6 +691,20 @@ struct WorkerPool::Impl {
       if (slot.live && slot.busy) return true;
     }
     return false;
+  }
+
+  void wait(std::uint32_t timeout_us) {
+    if (wake_read < 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(timeout_us));
+      return;
+    }
+    pollfd fd{wake_read, POLLIN, 0};
+    const timespec timeout{static_cast<time_t>(timeout_us / 1000000),
+                           static_cast<long>(timeout_us % 1000000) * 1000};
+    if (::ppoll(&fd, 1, &timeout, nullptr) <= 0) return;
+    char drain[64];
+    while (::read(wake_read, drain, sizeof(drain)) > 0) {
+    }
   }
 
   int try_dispatch(std::span<const Injection> chunk) {
@@ -897,6 +935,10 @@ struct WorkerPool::Impl {
       slot.live = false;
       slot.busy = false;
     }
+    for (int* fd : {&wake_read, &wake_write}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
   }
 };
 
@@ -915,6 +957,8 @@ int WorkerPool::try_dispatch(std::span<const Injection> chunk) {
 std::vector<WorkerEvent> WorkerPool::poll() { return impl_->poll(); }
 
 bool WorkerPool::busy() const noexcept { return impl_->busy(); }
+
+void WorkerPool::wait(std::uint32_t timeout_us) { impl_->wait(timeout_us); }
 
 std::int64_t WorkerPool::worker_pid(int slot) const noexcept {
   if (slot < 0 || static_cast<std::size_t>(slot) >= impl_->slots.size()) {
@@ -974,6 +1018,10 @@ int WorkerPool::try_dispatch(std::span<const Injection>) { return -1; }
 std::vector<WorkerEvent> WorkerPool::poll() { return {}; }
 
 bool WorkerPool::busy() const noexcept { return false; }
+
+void WorkerPool::wait(std::uint32_t timeout_us) {
+  std::this_thread::sleep_for(std::chrono::microseconds(timeout_us));
+}
 
 std::int64_t WorkerPool::worker_pid(int) const noexcept { return -1; }
 

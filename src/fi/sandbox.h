@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -157,6 +158,14 @@ struct WorkerPoolOptions {
   /// Checkpoint cadence/watchdog for the per-worker snapshot trees.
   SnapshotOptions snapshot;
 
+  /// Runs one experiment inside a worker in place of run_injected();
+  /// `slot` is the worker's stable slot index.  It must classify exactly as
+  /// run_injected() does.  Checkpointed campaigns use it to fold propagation
+  /// evidence into a per-slot shared-memory partial (campaign/evidence.h).
+  /// Ignored in snapshot mode.
+  std::function<ExperimentResult(const Injection&, std::size_t slot)>
+      run_experiment;
+
   /// Testing seam: the first N fork attempts fail as if fork() returned
   /// EAGAIN, without forking.  Lets tests drive the degradation path
   /// (shrink, then empty pool) deterministically.
@@ -238,6 +247,12 @@ class WorkerPool {
 
   /// True while any dispatched chunk has not yet been reported via poll().
   bool busy() const noexcept;
+
+  /// Blocks until a worker finishes a chunk or `timeout_us` passes,
+  /// whichever comes first.  Workers signal a finished chunk on a pool-wide
+  /// pipe; deaths and hangs are not signalled, so callers keep polling at
+  /// the timeout's cadence.
+  void wait(std::uint32_t timeout_us);
 
   /// OS pid of the worker in `slot`, or -1 if the slot is not live.  For
   /// tests that kill workers externally; unlike the rest of this class it

@@ -45,12 +45,11 @@ void discard_stale_journal(const std::string& path,
 
 }  // namespace
 
-SectionRecord build_section_record(const fi::Program& program,
-                                   const fi::GoldenRun& golden,
-                                   const SectionSpec& spec,
-                                   const campaign::CampaignLog& log,
-                                   const std::string& journal_stem,
-                                   const SectionCampaignOptions& options) {
+SectionRecord build_section_record(
+    const fi::Program& program, const fi::GoldenRun& golden,
+    const SectionSpec& spec, const campaign::CampaignLog& log,
+    const std::string& journal_stem, const SectionCampaignOptions& options,
+    const campaign::FirstPassEvidence* first) {
   SectionRecord record;
   record.spec = spec;
   record.executed = log.size();
@@ -63,9 +62,9 @@ SectionRecord build_section_record(const fi::Program& program,
   record.hang = counts.hang;
   record.detected = counts.detected;
 
-  // One shared replay (campaign::fold_log_evidence) feeds the boundary
-  // slice and, from the same fold's unfiltered maxima over the exit window,
-  // the section's outgoing error bound.
+  // One shared fold (campaign::fold_log_evidence) feeds the boundary slice
+  // and, from the same fold's unfiltered maxima over the exit window, the
+  // section's outgoing error bound.
   const std::uint64_t window = std::max<std::uint64_t>(1, options.edge_window);
   const std::uint64_t exit_begin =
       spec.end - std::min<std::uint64_t>(window, spec.size());
@@ -73,7 +72,7 @@ SectionRecord build_section_record(const fi::Program& program,
       options.pool != nullptr ? *options.pool : util::default_pool();
   const campaign::LogEvidence evidence = campaign::fold_log_evidence(
       program, golden, log, {options.filter, options.prop_buffer_cap}, pool,
-      options.telemetry, {exit_begin, spec.end});
+      options.telemetry, {exit_begin, spec.end}, first);
   record.exit_bound = evidence.window_max;
 
   const boundary::FaultToleranceBoundary whole =
@@ -162,6 +161,7 @@ SectionCampaignResult run_section_campaigns(
       outcome.log = std::move(run.log);
       outcome.executed = run.executed;
       outcome.stopped = run.stopped;
+      outcome.evidence = std::move(run.evidence);
     }
     result.executed += outcome.executed;
     if (outcome.stopped) {
@@ -170,8 +170,8 @@ SectionCampaignResult run_section_campaigns(
     }
 
     result.artifact.sections.push_back(build_section_record(
-        program, golden, spec, outcome.log,
-        options.stem + "." + spec.name, options));
+        program, golden, spec, outcome.log, options.stem + "." + spec.name,
+        options, &outcome.evidence));
     result.dirty.push_back(spec.name);
     if (telemetry::active(options.telemetry)) {
       options.telemetry->metrics().counter("sections.recomputed").add();

@@ -32,6 +32,9 @@ struct SectionRunOutcome {
   campaign::CampaignLog log;
   std::uint64_t executed = 0;
   bool stopped = false;  // drained mid-section; journal is resumable
+  /// First-pass evidence of `log` (campaign/evidence.h); empty when the
+  /// runner does not fold, and then every masked record is replayed.
+  campaign::FirstPassEvidence evidence;
 };
 
 /// Hook that executes one dirty section's experiments, journaling into
@@ -86,14 +89,14 @@ struct SectionCampaignResult {
 /// Builds one section's evidence record from its finished journal: outcome
 /// tallies, the section-local boundary slice (campaign::fold_log_evidence
 /// over the whole trace, then sliced to the section range), the exit-window
-/// error bound (the same replay's unfiltered maximum there), and the
-/// entry-window tolerance.
-SectionRecord build_section_record(const fi::Program& program,
-                                   const fi::GoldenRun& golden,
-                                   const SectionSpec& spec,
-                                   const campaign::CampaignLog& log,
-                                   const std::string& journal_stem,
-                                   const SectionCampaignOptions& options);
+/// error bound (the same fold's unfiltered maximum there), and the
+/// entry-window tolerance.  `first` is the journal's first-pass evidence,
+/// when its run folded any; records it does not cover are replayed.
+SectionRecord build_section_record(
+    const fi::Program& program, const fi::GoldenRun& golden,
+    const SectionSpec& spec, const campaign::CampaignLog& log,
+    const std::string& journal_stem, const SectionCampaignOptions& options,
+    const campaign::FirstPassEvidence* first = nullptr);
 
 /// Runs (or resumes) the compositional campaign.  `previous` is the last
 /// composed artifact for fingerprint diffing; nullptr means full compose.

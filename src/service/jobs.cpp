@@ -402,9 +402,12 @@ void JobRunner::execute_campaign(const CampaignJob& job) {
                    "' holds " + std::to_string(run.log.size()) +
                    " experiments and is resumable";
     } else {
+      // A local run folded its evidence as it went; a distributed one (or a
+      // resumed journal's loaded records) replays here.
       const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
           *program, golden, run.log, {true, 32}, util::default_pool(),
-          options_.telemetry);
+          options_.telemetry, &run.evidence);
+      run.evidence = {};  // resolved; free it before publishing
       const std::string artifact =
           options_.store_dir + "/" + key.str() + ".boundary";
       if (!boundary::save_to_file(built, program->config_key(), artifact)) {

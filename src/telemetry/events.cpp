@@ -16,7 +16,7 @@ Telemetry::Telemetry(const Clock* clock)
 
 void Telemetry::instant(std::string name, std::string category,
                         std::vector<std::pair<std::string, double>> args) {
-  if (!enabled()) return;
+  if (!enabled() || !events_enabled()) return;
   TraceEvent event;
   event.kind = TraceEvent::Kind::kInstant;
   event.name = std::move(name);
@@ -30,7 +30,7 @@ void Telemetry::instant(std::string name, std::string category,
 void Telemetry::record_span(std::string name, std::string category,
                             std::uint64_t start_ns, std::uint64_t duration_ns,
                             std::vector<std::pair<std::string, double>> args) {
-  if (!enabled()) return;
+  if (!enabled() || !events_enabled()) return;
   TraceEvent event;
   event.kind = TraceEvent::Kind::kSpan;
   event.name = std::move(name);

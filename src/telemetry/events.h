@@ -68,6 +68,12 @@ class Telemetry {
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
+  // Whether spans and instants are kept (default on).  A long-lived sink
+  // that only serves metrics turns them off: the event stream grows for
+  // the sink's whole life, and only a trace export reads it.
+  void set_events_enabled(bool on) { events_on_.store(on, std::memory_order_relaxed); }
+  bool events_enabled() const { return events_on_.load(std::memory_order_relaxed); }
+
   const Clock& clock() const { return *clock_; }
   std::uint64_t now_ns() const { return clock_->now_ns(); }
 
@@ -90,6 +96,7 @@ class Telemetry {
   SteadyClock default_clock_;
   const Clock* clock_;
   std::atomic<bool> enabled_{false};
+  std::atomic<bool> events_on_{true};
   MetricsRegistry metrics_;
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;

@@ -130,6 +130,30 @@ TEST(TelemetryEvents, NullAndDisabledSinksAreInertNoOps) {
   EXPECT_EQ(sink.events().size(), 1u);
 }
 
+TEST(TelemetryEvents, EventsOffSinkStillCountsMetricsAndHoldsNoEvents) {
+  telemetry::Telemetry sink;
+  sink.set_enabled(true);
+  sink.set_events_enabled(false);
+  EXPECT_TRUE(telemetry::active(&sink));
+  {
+    telemetry::SpanScope span(&sink, "x", "y");
+    span.arg("k", 1.0);
+  }
+  sink.instant("a", "b");
+  sink.record_span("c", "d", 0, 10);
+  sink.metrics().counter("jobs.completed").add(3);
+  sink.metrics().histogram("pool.chunk_round_trip_ns").record(40);
+  sink.metrics().gauge("pool.workers").set(2.0);
+  EXPECT_TRUE(sink.events().empty());
+  EXPECT_EQ(sink.metrics().counter("jobs.completed").value(), 3u);
+  EXPECT_EQ(sink.metrics().histogram("pool.chunk_round_trip_ns").count(), 1u);
+  EXPECT_EQ(sink.metrics().gauge("pool.workers").value(), 2.0);
+
+  sink.set_events_enabled(true);
+  sink.instant("a", "b");
+  EXPECT_EQ(sink.events().size(), 1u);
+}
+
 TEST(TelemetryExport, GoldenJsonlAndChromeTraceUnderManualClock) {
   telemetry::ManualClock clock;
   telemetry::Telemetry sink(&clock);

@@ -340,6 +340,8 @@ std::vector<campaign::ExperimentId> sample_fault_ids(
 /// --workers N upgrades that to the persistent worker-pool supervisor
 /// (heartbeats, respawn with backoff, --quarantine-after K site
 /// quarantine), which is the cheapest way to campaign hazard kernels.
+/// --save OUT writes the boundary from the run's own evidence, replaying
+/// only the masked records it did not fold (those loaded at resume).
 int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
                         const std::string& path,
                         telemetry::Telemetry* tele) {
@@ -412,7 +414,15 @@ int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
   std::printf("logged %zu distinct experiments -> %s\n", run.log.size(),
               path.c_str());
   print_outcomes(run.log.records());
-  return export_telemetry(cli);
+  if (!cli.has("save")) return export_telemetry(cli);
+
+  const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
+      *k.program, k.golden, run.log, {cli.get_bool("filter", true), 32},
+      util::default_pool(), tele, &run.evidence);
+  describe_boundary(built, k);
+  const int saved = save_if_requested(cli, built, k);
+  const int exported = export_telemetry(cli);
+  return saved != 0 ? saved : exported;
 }
 
 /// Journal-less one-shot campaign: sample --batch experiments and classify
@@ -891,6 +901,9 @@ int main(int argc, char** argv) {
       "              required for hazard kernels).  --workers N runs the\n"
       "              persistent worker-pool supervisor instead (heartbeats,\n"
       "              respawn, --quarantine-after K site quarantine).\n"
+      "              --save FILE writes the boundary (--filter 0|1) from\n"
+      "              the run's own evidence; only masked records loaded\n"
+      "              from the journal are replayed.\n"
       "              --snapshot serves experiments from copy-on-write\n"
       "              fork-server checkpoints (--snapshot-every I dynamic\n"
       "              instructions, default 4096); implies the supervisor.\n"

@@ -124,6 +124,10 @@ int main(int argc, char** argv) {
 
   telemetry::Telemetry telemetry;
   telemetry.set_enabled(true);
+  // Metrics serve Stats queries and SIGUSR1 dumps for the daemon's whole
+  // life; trace events are kept only for a --trace-out export, or they
+  // would grow with every job.
+  telemetry.set_events_enabled(!cli.get("trace-out").empty());
 
   // Fault injection for the chaos harness: FTB_CHAOS=seed=7,short_io=0.2,...
   // arms the seeded syscall-fault layer; unset/off leaves it dormant.
