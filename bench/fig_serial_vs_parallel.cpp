@@ -81,7 +81,7 @@ VariantResult run_variant(const std::string& kernel, std::size_t threads,
                               pool);
 
   VariantResult variant;
-  variant.label = threads > 1 ? "t" + std::to_string(threads) : "serial";
+  variant.label = threads > 1 ? util::format("t%zu", threads) : "serial";
   variant.counts = result.counts;
   const std::size_t group_size =
       group ? group

@@ -1,6 +1,7 @@
 // Microbenchmarks for the tracer hot path: the per-dynamic-instruction cost
 // of each tracer mode, which bounds how fast campaigns can run (every
-// experiment replays the whole kernel through Tracer::step).
+// experiment replays the whole kernel through the tracer), and the cost of
+// one whole experiment per kernel and mode.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -107,5 +108,35 @@ void BM_ExperimentCgWithCompare(benchmark::State& state) {
                           static_cast<std::int64_t>(golden.trace.size()));
 }
 BENCHMARK(BM_ExperimentCgWithCompare);
+
+// One default-preset experiment, outcome-only (inject) or with propagation
+// capture (compare): the constant every campaign experiment pays.  Sites
+// stride the trace and bits cycle through all 64, so crashing, SDC and
+// masked runs mix as in a uniform campaign.
+void BM_DefaultExperiment(benchmark::State& state, const char* kernel,
+                          bool compare) {
+  const fi::ProgramPtr program =
+      kernels::make_program(kernel, kernels::Preset::kDefault);
+  const fi::GoldenRun golden = fi::run_golden(*program);
+  std::vector<double> diffs(golden.trace.size());
+  std::uint64_t site = 0;
+  int bit = 0;
+  for (auto _ : state) {
+    site = (site + 97) % golden.trace.size();
+    bit = (bit + 13) % 64;
+    const fi::Injection injection = fi::Injection::bit_flip(site, bit);
+    benchmark::DoNotOptimize(
+        compare ? fi::run_injected_compare(*program, golden, injection, diffs)
+                : fi::run_injected(*program, golden, injection));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(golden.trace.size()));
+}
+BENCHMARK_CAPTURE(BM_DefaultExperiment, cg_inject, "cg", false);
+BENCHMARK_CAPTURE(BM_DefaultExperiment, cg_compare, "cg", true);
+BENCHMARK_CAPTURE(BM_DefaultExperiment, lu_inject, "lu", false);
+BENCHMARK_CAPTURE(BM_DefaultExperiment, lu_compare, "lu", true);
+BENCHMARK_CAPTURE(BM_DefaultExperiment, fft_inject, "fft", false);
+BENCHMARK_CAPTURE(BM_DefaultExperiment, fft_compare, "fft", true);
 
 }  // namespace

@@ -5,6 +5,14 @@
 // the whole toolbox (campaigns, boundary inference, adaptive sampling)
 // works unchanged.
 //
+// A run(fi::Tracer& t) that calls t.step() directly is all the contract
+// needs.  This kernel also opts in to mode-specialized stepping: it writes
+// its body once as a template over the stepper and runs it through
+// Tracer::with_stepper(), so each fault-injection experiment steps through
+// code compiled for its tracer mode instead of the generic mode switch
+// (same results, about half the cost per experiment on the shipped
+// kernels).
+//
 // The kernel here is a damped pendulum integrated with explicit Euler:
 // small physics state, long dependency chain, intuitive resiliency
 // structure (early-state errors decay with the damping, late errors
@@ -44,6 +52,14 @@ class PendulumProgram final : public fi::Program {
   fi::OutputComparator comparator() const override { return {1e-9, 1e-6}; }
 
   std::vector<double> run(fi::Tracer& t) const override {
+    return t.with_stepper([this](auto& stepper) { return body(stepper); });
+  }
+
+ private:
+  /// The kernel, written once for every stepper: fi::Tracer itself or the
+  /// mode stepper with_stepper() picks (anything with step, phase, touch).
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const {
     // Instrumented state initialisation: these stores are injection sites.
     double theta = t.step(0.75);   // initial angle (rad)
     double omega = t.step(0.0);    // initial angular velocity
@@ -60,7 +76,6 @@ class PendulumProgram final : public fi::Program {
     return {theta, omega};
   }
 
- private:
   std::size_t steps_;
 };
 

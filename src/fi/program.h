@@ -25,7 +25,9 @@ class Program {
   /// Executes the computation, routing every produced FP data element
   /// through `tracer`, and returns the final output vector that outcome
   /// classification compares against the golden output.  May throw
-  /// CrashSignal (from the tracer) on simulated abnormal termination.
+  /// CrashSignal (from the tracer) on simulated abnormal termination.  A
+  /// body written as a template over its stepper can run on the one
+  /// `tracer.with_stepper()` compiles for the tracer's mode (fi/tracer.h).
   virtual std::vector<double> run(Tracer& tracer) const = 0;
 
   /// The acceptance tolerance for this program's output (paper: the

@@ -16,6 +16,14 @@
 // Kernels must be deterministic and free of data-dependent control flow so
 // fault-free and faulty runs execute identical dynamic-instruction
 // sequences; the executor verifies the step counts match.
+//
+// A kernel written as a template over its *stepper* (anything with step(),
+// phase() and touch(), Tracer included) can run on a stepper compiled for
+// one mode: Tracer::with_stepper() hands an Inject or Compare run a
+// ModeStepper that inlines that mode's rules, with no per-step mode switch
+// and no checkpoint-hook check, and runs every other tracer as itself.
+// Both paths execute the same FaultState rules, so they produce the same
+// values, crashes and diffs.
 #pragma once
 
 #include <algorithm>
@@ -125,6 +133,8 @@ struct Injection {
 };
 
 class Tracer {
+  struct FaultState;
+
  public:
   /// Sentinel for "no checkpoint armed" (see arm_checkpoint_hook).
   static constexpr std::uint64_t kNoCheckpoint = ~std::uint64_t{0};
@@ -164,7 +174,7 @@ class Tracer {
   /// values from the injection site onward.
   static Tracer injector(const Injection& injection) noexcept {
     Tracer t(Mode::kInject);
-    t.injection_ = injection;
+    t.state_.arm(injection);
     return t;
   }
 
@@ -176,7 +186,7 @@ class Tracer {
                            std::span<double> diffs) noexcept {
     assert(diffs.size() == golden.size());
     Tracer t(Mode::kCompare);
-    t.injection_ = injection;
+    t.state_.arm(injection);
     t.golden_ = golden;
     t.diffs_ = diffs;
     return t;
@@ -202,17 +212,18 @@ class Tracer {
                                   StreamHooks hooks) noexcept {
     assert(hooks.next_golden != nullptr);
     Tracer t(Mode::kCompareStream);
-    t.injection_ = injection;
+    t.state_.arm(injection);
     t.hooks_ = hooks;
     return t;
   }
 
-  /// The hot path: every kernel FP production flows through here.
-  /// Trace-target injections fire when the dynamic-instruction index hits
-  /// the injection site; once any fault has fired (trace or memory), a
-  /// non-finite produced value simulates a trap via CrashSignal.
+  /// The generic hot path: every produced value of a run on the Tracer
+  /// itself flows through here.  Trace-target injections fire when the
+  /// dynamic-instruction index hits the injection site; once any fault has
+  /// fired (trace or memory), a non-finite produced value simulates a trap
+  /// via CrashSignal.
   double step(double v) {
-    const std::uint64_t idx = index_++;
+    const std::uint64_t idx = state_.index++;
     if (idx >= next_checkpoint_) [[unlikely]] {
       // Before the injection check on purpose: a hook that rearms this
       // tracer with a fault at exactly this index must still fire it below.
@@ -225,30 +236,15 @@ class Tracer {
         trace_out_->push_back(v);
         return v;
       case Mode::kInject:
-        if (!injection_.is_memory_fault() && idx == injection_.site) {
-          v = fire(v, idx);
-        } else if (fired_ && !std::isfinite(v)) {
-          throw CrashSignal{idx};
-        }
-        return v;
+        return state_.inject(v, idx);
       case Mode::kCompare:
-        if (!injection_.is_memory_fault() && idx == injection_.site) {
-          v = fire(v, idx);
-        } else if (fired_ && !std::isfinite(v)) {
-          throw CrashSignal{idx};
-        }
-        if (fired_ && idx < diffs_.size()) {
-          diffs_[idx] = std::fabs(v - golden_[idx]);
-        }
+        v = state_.inject(v, idx);
+        state_.compare(v, idx, golden_, diffs_);
         return v;
       case Mode::kCompareStream: {
         const double golden_value = hooks_.next_golden(hooks_.ctx);
-        if (!injection_.is_memory_fault() && idx == injection_.site) {
-          v = fire(v, idx);
-        } else if (fired_ && !std::isfinite(v)) {
-          throw CrashSignal{idx};
-        }
-        if (fired_ && hooks_.observe != nullptr) {
+        v = state_.inject(v, idx);
+        if (state_.fired && hooks_.observe != nullptr) {
           hooks_.observe(hooks_.ctx, idx, std::fabs(v - golden_value));
         }
         return v;
@@ -266,23 +262,34 @@ class Tracer {
   /// produced value -- the crash happens at the first non-finite value the
   /// kernel later *produces* from it.
   void touch(std::span<double> data) {
-    const std::uint32_t point = touch_index_++;
     if (mode_ == Mode::kCount || mode_ == Mode::kRecord) {
+      ++state_.touch_index;
       if (touch_sizes_out_ != nullptr) touch_sizes_out_->push_back(data.size());
       return;
     }
-    if (injection_.is_memory_fault() && !fired_ &&
-        point == injection_.touch_point && injection_.site < data.size()) {
-      double& word = data[injection_.site];
-      fired_ = true;
-      original_value_ = word;
-      const double corrupted = injection_.apply(word);
-      injected_error_ = std::isfinite(corrupted)
-                            ? std::fabs(corrupted - word)
-                            : std::numeric_limits<double>::infinity();
-      word = corrupted;
-    }
+    state_.touch(data);
   }
+
+  // ---- Mode-specialized stepping -------------------------------------------
+  // Kernels write their body once, as a template over a stepper, and run it
+  // through with_stepper() once per run.  Trace- and memory-target Inject
+  // and Compare runs -- every campaign experiment -- get a ModeStepper that
+  // inlines that mode's FaultState rules; every other tracer (Count, the
+  // golden Record run, stream comparison, an armed snapshot checkpoint hook)
+  // runs the body on the Tracer itself.  Sharded kernels (threads > 1) call
+  // the body on the Tracer directly: Tracer::Shard needs the tracer.
+
+  template <bool kCompare>
+  class ModeStepper;
+  using InjectStepper = ModeStepper<false>;
+  using CompareStepper = ModeStepper<true>;
+
+  /// Runs `body(stepper)` once, on the stepper compiled for this tracer's
+  /// mode (see above), and returns what the body returns.  The tracer's
+  /// steps(), fired(), injected_error() and original_value() afterwards --
+  /// also after a CrashSignal -- equal those of `body(*this)`.
+  template <typename Body>
+  auto with_stepper(Body&& body);
 
   // ---- Deterministic parallel tracing --------------------------------------
   // A threaded kernel partitions each parallel region into per-thread shards
@@ -312,7 +319,8 @@ class Tracer {
           return v;
         case Mode::kInject:
         case Mode::kCompare: {
-          const Injection& injection = parent_->injection_;
+          const FaultState& state = parent_->state_;
+          const Injection& injection = state.injection;
           const bool trace_target = !injection.is_memory_fault();
           if (trace_target && idx == injection.site) {
             fired_ = true;
@@ -327,11 +335,11 @@ class Tracer {
             v = corrupted;
           } else if (!std::isfinite(v) && crash_site_ > idx &&
                      ((trace_target && idx > injection.site) ||
-                      parent_->fired_)) {
+                      state.fired)) {
             crash_site_ = idx;
           }
           if (parent_->mode_ == Mode::kCompare && crash_site_ == kNoCrash &&
-              (fired_ || parent_->fired_ ||
+              (fired_ || state.fired ||
                (trace_target && idx >= injection.site)) &&
               idx < parent_->diffs_.size()) {
             parent_->diffs_[idx] = std::fabs(v - parent_->golden_[idx]);
@@ -367,19 +375,20 @@ class Tracer {
   Shard shard(std::uint64_t steps) {
     assert(mode_ != Mode::kCompareStream &&
            "stream comparison cannot be sharded");
-    if (index_ >= next_checkpoint_) [[unlikely]] {
+    if (state_.index >= next_checkpoint_) [[unlikely]] {
       // Sharded regions reserve index ranges in bulk, so a checkpoint that
       // lands inside one fires here, at the region edge, on the calling
       // thread (never on a worker thread -- fork() inside a threaded region
       // would be unsafe).  The hook registers the *actual* index it ran at.
-      next_checkpoint_ = checkpoint_.reached(checkpoint_.ctx, *this, index_);
+      next_checkpoint_ =
+          checkpoint_.reached(checkpoint_.ctx, *this, state_.index);
     }
     Shard s;
     s.parent_ = this;
-    s.begin_ = index_;
+    s.begin_ = state_.index;
     s.length_ = steps;
     if (mode_ == Mode::kRecord) s.recorded_.reserve(steps);
-    index_ += steps;
+    state_.index += steps;
     return s;
   }
 
@@ -397,9 +406,9 @@ class Tracer {
                            s.recorded_.end());
       }
       if (s.fired_) {
-        fired_ = true;
-        injected_error_ = s.injected_error_;
-        original_value_ = s.original_value_;
+        state_.fired = true;
+        state_.injected_error = s.injected_error_;
+        state_.original_value = s.original_value_;
       }
       crash_site = std::min(crash_site, s.crash_site_);
     }
@@ -411,7 +420,7 @@ class Tracer {
   /// kernels may call it unconditionally.
   void phase(std::string_view name) {
     if (phases_out_ != nullptr) {
-      phases_out_->push_back({index_, std::string(name)});
+      phases_out_->push_back({state_.index, std::string(name)});
     }
   }
 
@@ -428,25 +437,20 @@ class Tracer {
   /// the new fault must not already be behind the execution point (a trace
   /// site below the current index, or a memory fault whose touch point has
   /// already been passed, can never fire).
-  void rearm(const Injection& injection) noexcept {
-    injection_ = injection;
-    fired_ = false;
-    injected_error_ = 0.0;
-    original_value_ = 0.0;
-  }
+  void rearm(const Injection& injection) noexcept { state_.arm(injection); }
 
   /// Number of dynamic instructions seen so far.
-  std::uint64_t steps() const noexcept { return index_; }
+  std::uint64_t steps() const noexcept { return state_.index; }
 
   /// True once the injection site has been reached.
-  bool fired() const noexcept { return fired_; }
+  bool fired() const noexcept { return state_.fired; }
 
   /// |corrupted - original| at the injection site; +inf when the corrupted
   /// value was non-finite.  Only meaningful after fired().
-  double injected_error() const noexcept { return injected_error_; }
+  double injected_error() const noexcept { return state_.injected_error; }
 
   /// Value originally produced at the injection site (pre-corruption).
-  double original_value() const noexcept { return original_value_; }
+  double original_value() const noexcept { return state_.original_value; }
 
  private:
   enum class Mode : std::uint8_t {
@@ -457,29 +461,82 @@ class Tracer {
     kCompareStream,
   };
 
+  /// One run's position and fault state, and the Inject/Compare rules each
+  /// of its steps obeys.  Tracer::step, Tracer::touch and ModeStepper all
+  /// call these functions: the rules are written once.
+  struct FaultState {
+    /// fire_site of a memory-target fault: no step index reaches it.
+    static constexpr std::uint64_t kNoSite = ~std::uint64_t{0};
+
+    std::uint64_t index = 0;            // next dynamic-instruction index
+    std::uint64_t fire_site = kNoSite;  // trace-target site, else kNoSite
+    std::uint32_t touch_index = 0;      // next touch() call
+    bool fired = false;
+    double injected_error = 0.0;
+    double original_value = 0.0;
+    Injection injection{};
+
+    void arm(const Injection& next) noexcept {
+      injection = next;
+      fire_site = next.is_memory_fault() ? kNoSite : next.site;
+      fired = false;
+      injected_error = 0.0;
+      original_value = 0.0;
+    }
+
+    /// Inject rule for the value produced at `idx`: a trace-target fault
+    /// fires at its site; once any fault has fired, a non-finite value
+    /// traps.
+    double inject(double v, std::uint64_t idx) {
+      if (idx == fire_site) [[unlikely]] return fire(v, idx);
+      if (fired && !std::isfinite(v)) [[unlikely]] throw CrashSignal{idx};
+      return v;
+    }
+
+    /// Compare rule: from the firing on, diffs[idx] = |v - golden[idx]|.
+    void compare(double v, std::uint64_t idx, std::span<const double> golden,
+                 std::span<double> diffs) const noexcept {
+      if (fired && idx < diffs.size()) diffs[idx] = std::fabs(v - golden[idx]);
+    }
+
+    /// Memory-target rule: corrupts the injection's word of the matching
+    /// touch() span in place.
+    void touch(std::span<double> data) noexcept {
+      const std::uint32_t point = touch_index++;
+      if (injection.is_memory_fault() && !fired &&
+          point == injection.touch_point && injection.site < data.size()) {
+        double& word = data[injection.site];
+        fired = true;
+        original_value = word;
+        const double corrupted = injection.apply(word);
+        injected_error = std::isfinite(corrupted)
+                             ? std::fabs(corrupted - word)
+                             : std::numeric_limits<double>::infinity();
+        word = corrupted;
+      }
+    }
+
+    /// Corrupts the value at the trace-target site; a non-finite corrupted
+    /// value traps at once.
+    double fire(double v, std::uint64_t idx) {
+      fired = true;
+      original_value = v;
+      const double corrupted = injection.apply(v);
+      if (!std::isfinite(corrupted)) {
+        injected_error = std::numeric_limits<double>::infinity();
+        throw CrashSignal{idx};
+      }
+      injected_error = std::fabs(corrupted - v);
+      return corrupted;
+    }
+  };
+
   explicit Tracer(Mode mode) noexcept : mode_(mode) {}
 
-  double fire(double v, std::uint64_t idx) {
-    fired_ = true;
-    original_value_ = v;
-    const double corrupted = injection_.apply(v);
-    if (!std::isfinite(corrupted)) {
-      injected_error_ = std::numeric_limits<double>::infinity();
-      throw CrashSignal{idx};
-    }
-    injected_error_ = std::fabs(corrupted - v);
-    return corrupted;
-  }
-
   Mode mode_;
-  std::uint64_t index_ = 0;
   std::uint64_t next_checkpoint_ = kNoCheckpoint;
   CheckpointHook checkpoint_{};
-  std::uint32_t touch_index_ = 0;
-  Injection injection_{};
-  bool fired_ = false;
-  double injected_error_ = 0.0;
-  double original_value_ = 0.0;
+  FaultState state_{};
   std::vector<double>* trace_out_ = nullptr;
   std::vector<PhaseMark>* phases_out_ = nullptr;
   std::vector<std::uint64_t>* touch_sizes_out_ = nullptr;
@@ -487,5 +544,57 @@ class Tracer {
   std::span<double> diffs_{};
   StreamHooks hooks_{};
 };
+
+/// The stepper with_stepper() compiles for an Inject (kCompare = false) or
+/// a Compare run.  It copies the tracer's FaultState in, runs FaultState's
+/// rules inline, and writes the state back when it goes out of scope --
+/// when the kernel body returns and when a CrashSignal unwinds it -- so
+/// classify_finished / classify_crash read the tracer exactly as after a
+/// run that stepped the Tracer itself.
+template <bool kCompare>
+class Tracer::ModeStepper {
+ public:
+  explicit ModeStepper(Tracer& home) noexcept
+      : home_(home),
+        state_(home.state_),
+        golden_(home.golden_),
+        diffs_(home.diffs_) {}
+  ~ModeStepper() { home_.state_ = state_; }
+  ModeStepper(const ModeStepper&) = delete;
+  ModeStepper& operator=(const ModeStepper&) = delete;
+
+  [[gnu::always_inline]] double step(double v) {
+    const std::uint64_t idx = state_.index++;
+    v = state_.inject(v, idx);
+    if constexpr (kCompare) state_.compare(v, idx, golden_, diffs_);
+    return v;
+  }
+
+  /// Only the golden run's recorder keeps phases.
+  void phase(std::string_view) const noexcept {}
+
+  void touch(std::span<double> data) noexcept { state_.touch(data); }
+
+ private:
+  Tracer& home_;
+  FaultState state_;
+  std::span<const double> golden_;
+  std::span<double> diffs_;
+};
+
+template <typename Body>
+auto Tracer::with_stepper(Body&& body) {
+  if (next_checkpoint_ == kNoCheckpoint) {
+    if (mode_ == Mode::kInject) {
+      InjectStepper stepper(*this);
+      return body(stepper);
+    }
+    if (mode_ == Mode::kCompare) {
+      CompareStepper stepper(*this);
+      return body(stepper);
+    }
+  }
+  return body(*this);
+}
 
 }  // namespace ftb::fi

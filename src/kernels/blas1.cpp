@@ -13,6 +13,11 @@ std::string DaxpyConfig::key() const {
 DaxpyProgram::DaxpyProgram(DaxpyConfig config) : config_(config) {}
 
 std::vector<double> DaxpyProgram::run(fi::Tracer& t) const {
+  return t.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> DaxpyProgram::body(Stepper& t) const {
   const std::size_t n = config_.n;
   util::Rng rng(config_.seed);
   std::vector<double> x(n), y(n);
@@ -24,6 +29,9 @@ std::vector<double> DaxpyProgram::run(fi::Tracer& t) const {
   return y;
 }
 
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> DaxpyProgram::body(fi::Tracer&) const;
+
 std::string MatvecConfig::key() const {
   return util::format("matvec:n=%zu:rep=%zu:seed=%llu:atol=%g:rtol=%g", n,
                       repeats, static_cast<unsigned long long>(seed), atol,
@@ -33,6 +41,11 @@ std::string MatvecConfig::key() const {
 MatvecProgram::MatvecProgram(MatvecConfig config) : config_(config) {}
 
 std::vector<double> MatvecProgram::run(fi::Tracer& t) const {
+  return t.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> MatvecProgram::body(Stepper& t) const {
   const std::size_t n = config_.n;
   util::Rng rng(config_.seed);
 
@@ -56,5 +69,8 @@ std::vector<double> MatvecProgram::run(fi::Tracer& t) const {
   }
   return y;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> MatvecProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

@@ -35,6 +35,11 @@ class DaxpyProgram final : public fi::Program {
   }
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   const DaxpyConfig& config() const noexcept { return config_; }
 
  private:
@@ -63,6 +68,11 @@ class MatvecProgram final : public fi::Program {
     return {config_.atol, config_.rtol};
   }
   std::vector<double> run(fi::Tracer& tracer) const override;
+
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
 
   const MatvecConfig& config() const noexcept { return config_; }
 

@@ -35,15 +35,16 @@ std::vector<double> make_rhs(std::size_t n, std::uint64_t seed) {
 
 }  // namespace
 
-CgProgram::CgProgram(CgConfig config) : config_(config) {
+CgProgram::CgProgram(CgConfig config)
+    : config_(config),
+      structure_(linalg::CsrMatrix::poisson5(config_.nx, config_.ny)),
+      rhs_(make_rhs(unknowns(), config_.rhs_seed)) {
   if (config_.detector) {
     // Recomputed residual ||b - A x||_2: the classic solver ABFT check.
     // The closure owns golden copies of the operator and rhs, so corrupted
     // program state can never perturb the check itself.
-    auto structure = std::make_shared<linalg::CsrMatrix>(
-        linalg::CsrMatrix::poisson5(config_.nx, config_.ny));
-    auto rhs = std::make_shared<std::vector<double>>(
-        make_rhs(unknowns(), config_.rhs_seed));
+    auto structure = std::make_shared<linalg::CsrMatrix>(structure_);
+    auto rhs = std::make_shared<std::vector<double>>(rhs_);
     detector_ = std::make_unique<fi::InvariantDetector>(
         "cg-residual",
         [structure, rhs](std::span<const double> x) {
@@ -73,13 +74,17 @@ CgProgram::CgProgram(CgConfig config) : config_(config) {
 }
 
 std::vector<double> CgProgram::run(fi::Tracer& t) const {
+  return run_body(t, config_.threads,
+                  [this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> CgProgram::body(Stepper& t) const {
   const std::size_t n = unknowns();
   const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
-  const linalg::CsrMatrix structure =
-      linalg::CsrMatrix::poisson5(config_.nx, config_.ny);
-  const auto row_ptr = structure.row_ptr();
-  const auto col_idx = structure.col_idx();
-  const auto ref_values = structure.values();
+  const auto row_ptr = structure_.row_ptr();
+  const auto col_idx = structure_.col_idx();
+  const auto ref_values = structure_.values();
 
   // --- Phase 0: zero-initialisation of all work vectors (traced). ---------
   t.phase("zero-init");
@@ -95,10 +100,9 @@ std::vector<double> CgProgram::run(fi::Tracer& t) const {
 
   // --- Phase 1: one-shot setup: right-hand side and operator assembly. ----
   t.phase("setup");
-  const std::vector<double> rhs = make_rhs(n, config_.rhs_seed);
   std::vector<double> b(n);
   traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { b[i] = s.step(rhs[i]); });
+                      [&](std::size_t i, auto& s) { b[i] = s.step(rhs_[i]); });
   std::vector<double> a_values(ref_values.size());
   traced_parallel_for(t, ref_values.size(), threads,
                       [&](std::size_t k, auto& s) {
@@ -162,16 +166,17 @@ std::vector<double> CgProgram::run(fi::Tracer& t) const {
   return x;
 }
 
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> CgProgram::body(fi::Tracer&) const;
+
 CgProgram::PhaseMarkers CgProgram::phase_markers() const {
   const std::uint64_t n = unknowns();
-  const linalg::CsrMatrix structure =
-      linalg::CsrMatrix::poisson5(config_.nx, config_.ny);
   PhaseMarkers markers;
   markers.zero_init = 0;
   markers.setup = 4 * n;
   // setup: b (n) + A values (nnz); then r/p/rr prologue: ap (n) + r (n) +
   // p (n) + rr (1) still belongs to setup for reporting purposes.
-  markers.iterations = markers.setup + n + structure.nonzeros() + 3 * n + 1;
+  markers.iterations = markers.setup + n + structure_.nonzeros() + 3 * n + 1;
   return markers;
 }
 

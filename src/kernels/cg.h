@@ -52,6 +52,12 @@ class CgProgram final : public fi::Program {
 
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h).  run() calls
+  /// it on the stepper compiled for the tracer's mode, or on the Tracer
+  /// itself; calling it on a Tracer directly always takes the generic path.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   /// Recomputed-residual ABFT check (||b - A x|| against the golden run's
   /// converged residual) when CgConfig::detector is set; nullptr otherwise.
   const fi::Detector* detector() const noexcept override {
@@ -72,6 +78,11 @@ class CgProgram final : public fi::Program {
 
  private:
   CgConfig config_;
+  // Untraced per-config inputs, built once and stepped like any other
+  // value: the operator's structure and reference values, and the
+  // right-hand side.
+  linalg::CsrMatrix structure_;
+  std::vector<double> rhs_;
   fi::DetectorPtr detector_;
 };
 

@@ -1,5 +1,6 @@
 #include "kernels/fft.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -17,10 +18,13 @@ namespace {
 }
 
 /// In-place radix-2 DIT FFT over one contiguous row of a split complex
-/// array.  Every store is traced.  Twiddle angles are pure functions of the
-/// loop indices (program constants, like literal coefficients), so they are
-/// not injection sites themselves; the *results* of every butterfly are.
-void fft_row(fi::Tracer& t, double* re, double* im, std::size_t m) {
+/// array.  Every store is traced.  The butterfly factors cos/sin(-2 pi k /
+/// len) are pure functions of the loop indices (program constants, like
+/// literal coefficients), so they are not injection sites themselves; the
+/// *results* of every butterfly are.
+template <typename Stepper>
+void fft_row(Stepper& t, double* re, double* im, std::size_t m,
+             const double* butterfly_cos, const double* butterfly_sin) {
   // Bit-reversal permutation (index-driven; the moved values are stores).
   for (std::size_t i = 1, j = 0; i < m; ++i) {
     std::size_t bit = m >> 1;
@@ -37,12 +41,13 @@ void fft_row(fi::Tracer& t, double* re, double* im, std::size_t m) {
   }
 
   for (std::size_t len = 2; len <= m; len <<= 1) {
-    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
     const std::size_t half = len / 2;
+    const double* stage_cos = butterfly_cos + (half - 1);
+    const double* stage_sin = butterfly_sin + (half - 1);
     for (std::size_t base = 0; base < m; base += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const double c = std::cos(angle * static_cast<double>(k));
-        const double s = std::sin(angle * static_cast<double>(k));
+        const double c = stage_cos[k];
+        const double s = stage_sin[k];
         const std::size_t lo = base + k;
         const std::size_t hi = lo + half;
         const double ur = re[lo];
@@ -68,29 +73,55 @@ std::string FftConfig::key() const {
 FftProgram::FftProgram(FftConfig config) : config_(config) {
   assert(is_power_of_two(config_.n1));
   assert(is_power_of_two(config_.n2));
+  const std::size_t n = config_.n();
+  util::Rng rng(config_.signal_seed);
+  signal_re_.resize(n);
+  signal_im_.resize(n);
+  for (double& v : signal_re_) v = rng.next_double(-1.0, 1.0);
+  for (double& v : signal_im_) v = rng.next_double(-1.0, 1.0);
+
+  table_cos_.resize(n);
+  table_sin_.resize(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const double angle =
+        -2.0 * std::numbers::pi * static_cast<double>(m) / static_cast<double>(n);
+    table_cos_[m] = std::cos(angle);
+    table_sin_[m] = std::sin(angle);
+  }
+
+  const std::size_t longest = std::max(config_.n1, config_.n2);
+  for (std::size_t len = 2; len <= longest; len <<= 1) {
+    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      butterfly_cos_.push_back(std::cos(angle * static_cast<double>(k)));
+      butterfly_sin_.push_back(std::sin(angle * static_cast<double>(k)));
+    }
+  }
 }
 
 std::vector<double> FftProgram::run(fi::Tracer& t) const {
+  return t.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> FftProgram::body(Stepper& t) const {
   const std::size_t n1 = config_.n1;
   const std::size_t n2 = config_.n2;
   const std::size_t n = n1 * n2;
 
   // Input signal (traced fill), viewed as an n1 x n2 row-major matrix.
   t.phase("input");
-  util::Rng rng(config_.signal_seed);
   std::vector<double> a_re(n), a_im(n);
-  for (std::size_t i = 0; i < n; ++i) a_re[i] = t.step(rng.next_double(-1.0, 1.0));
-  for (std::size_t i = 0; i < n; ++i) a_im[i] = t.step(rng.next_double(-1.0, 1.0));
+  for (std::size_t i = 0; i < n; ++i) a_re[i] = t.step(signal_re_[i]);
+  for (std::size_t i = 0; i < n; ++i) a_im[i] = t.step(signal_im_[i]);
 
   // Twiddle table w_n^m for m in [0, n) (traced; SPLASH-2 precomputes the
   // same "roots of unity" array).
   t.phase("twiddle-table");
   std::vector<double> tw_re(n), tw_im(n);
   for (std::size_t m = 0; m < n; ++m) {
-    const double angle =
-        -2.0 * std::numbers::pi * static_cast<double>(m) / static_cast<double>(n);
-    tw_re[m] = t.step(std::cos(angle));
-    tw_im[m] = t.step(std::sin(angle));
+    tw_re[m] = t.step(table_cos_[m]);
+    tw_im[m] = t.step(table_sin_[m]);
   }
 
   // Step 1: transpose a (n1 x n2) -> b (n2 x n1).
@@ -106,7 +137,8 @@ std::vector<double> FftProgram::run(fi::Tracer& t) const {
   // Step 2: n2 row FFTs of length n1.
   t.phase("row-ffts-1");
   for (std::size_t j2 = 0; j2 < n2; ++j2) {
-    fft_row(t, b_re.data() + j2 * n1, b_im.data() + j2 * n1, n1);
+    fft_row(t, b_re.data() + j2 * n1, b_im.data() + j2 * n1, n1,
+            butterfly_cos_.data(), butterfly_sin_.data());
   }
 
   // Step 3: twiddle -- b[j2][k1] *= w_n^(j2 * k1).
@@ -137,7 +169,8 @@ std::vector<double> FftProgram::run(fi::Tracer& t) const {
   // Step 5: n1 row FFTs of length n2.
   t.phase("row-ffts-2");
   for (std::size_t k1 = 0; k1 < n1; ++k1) {
-    fft_row(t, c_re.data() + k1 * n2, c_im.data() + k1 * n2, n2);
+    fft_row(t, c_re.data() + k1 * n2, c_im.data() + k1 * n2, n2,
+            butterfly_cos_.data(), butterfly_sin_.data());
   }
 
   // Step 6: transpose into the natural-order spectrum: out[k2*n1 + k1].
@@ -151,5 +184,8 @@ std::vector<double> FftProgram::run(fi::Tracer& t) const {
   }
   return out;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> FftProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

@@ -53,10 +53,22 @@ class FftProgram final : public fi::Program {
   /// natural frequency order.
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   const FftConfig& config() const noexcept { return config_; }
 
  private:
   FftConfig config_;
+  // Untraced per-config inputs, built once: the input signal, the twiddle
+  // table's cos/sin values (both stepped like any other value), and the
+  // butterfly factors of every radix-2 stage up to max(n1, n2), stage
+  // `len` at index len / 2 - 1 + k.
+  std::vector<double> signal_re_, signal_im_;
+  std::vector<double> table_cos_, table_sin_;
+  std::vector<double> butterfly_cos_, butterfly_sin_;
 };
 
 }  // namespace ftb::kernels

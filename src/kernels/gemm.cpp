@@ -27,6 +27,11 @@ GemmProgram::GemmProgram(GemmConfig config) : config_(config) {
 }
 
 std::vector<double> GemmProgram::run(fi::Tracer& t) const {
+  return t.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> GemmProgram::body(Stepper& t) const {
   const std::size_t n = config_.n;
   const std::size_t nb = config_.block;
 
@@ -57,5 +62,8 @@ std::vector<double> GemmProgram::run(fi::Tracer& t) const {
   }
   return c;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> GemmProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

@@ -41,6 +41,11 @@ class GemmProgram final : public fi::Program {
   /// Output: C, row-major.
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   /// Sum-checksum over C (the Huang & Abraham 1984 full-checksum equality)
   /// when GemmConfig::detector is set; nullptr otherwise.
   const fi::Detector* detector() const noexcept override {

@@ -15,6 +15,11 @@ std::string JacobiConfig::key() const {
 JacobiProgram::JacobiProgram(JacobiConfig config) : config_(config) {}
 
 std::vector<double> JacobiProgram::run(fi::Tracer& t) const {
+  return t.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> JacobiProgram::body(Stepper& t) const {
   const std::size_t n = unknowns();
   const linalg::CsrMatrix a =
       linalg::CsrMatrix::poisson5(config_.nx, config_.ny);
@@ -48,5 +53,8 @@ std::vector<double> JacobiProgram::run(fi::Tracer& t) const {
   }
   return x;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> JacobiProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

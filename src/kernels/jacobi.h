@@ -42,6 +42,11 @@ class JacobiProgram final : public fi::Program {
   /// Output: the solution estimate x after the fixed sweep count.
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   const JacobiConfig& config() const noexcept { return config_; }
   std::size_t unknowns() const noexcept { return config_.nx * config_.ny; }
 

@@ -13,21 +13,36 @@ std::string LuConfig::key() const {
                       static_cast<unsigned long long>(matrix_seed), atol, rtol);
 }
 
-LuProgram::LuProgram(LuConfig config) : config_(config) {
+namespace {
+
+/// The untraced input matrix.
+std::vector<double> make_source(const LuConfig& config) {
+  util::Rng rng(config.matrix_seed);
+  const linalg::DenseMatrix source =
+      linalg::DenseMatrix::random_diagonally_dominant(config.n, rng);
+  return {source.data().begin(), source.data().end()};
+}
+
+}  // namespace
+
+LuProgram::LuProgram(LuConfig config)
+    : config_(config), source_(make_source(config_)) {
   assert(config_.block > 0 && config_.n % config_.block == 0);
 }
 
 std::vector<double> LuProgram::run(fi::Tracer& t) const {
+  return t.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> LuProgram::body(Stepper& t) const {
   const std::size_t n = config_.n;
   const std::size_t nb = config_.block;
 
   // Initial fill (traced): diagonally dominant so pivots stay healthy.
   t.phase("init");
-  util::Rng rng(config_.matrix_seed);
-  const linalg::DenseMatrix source =
-      linalg::DenseMatrix::random_diagonally_dominant(n, rng);
   std::vector<double> a(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) a[i] = t.step(source.data()[i]);
+  for (std::size_t i = 0; i < n * n; ++i) a[i] = t.step(source_[i]);
 
   const auto at = [&a, n](std::size_t r, std::size_t c) -> double& {
     return a[r * n + c];
@@ -87,5 +102,8 @@ std::vector<double> LuProgram::run(fi::Tracer& t) const {
 
   return a;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> LuProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

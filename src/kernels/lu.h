@@ -45,10 +45,16 @@ class LuProgram final : public fi::Program {
   /// diagonal with implicit unit diagonal, U on/above it).
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   const LuConfig& config() const noexcept { return config_; }
 
  private:
   LuConfig config_;
+  std::vector<double> source_;  // untraced input matrix, built once
 };
 
 }  // namespace ftb::kernels

@@ -28,6 +28,12 @@ SpmvProgram::SpmvProgram(SpmvConfig config) : config_(config) {
 }
 
 std::vector<double> SpmvProgram::run(fi::Tracer& t) const {
+  return run_body(t, config_.threads,
+                  [this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> SpmvProgram::body(Stepper& t) const {
   const linalg::CsrMatrix structure =
       linalg::CsrMatrix::poisson5(config_.nx, config_.ny);
   const std::size_t n = structure.rows();
@@ -71,5 +77,8 @@ std::vector<double> SpmvProgram::run(fi::Tracer& t) const {
   }
   return y;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> SpmvProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

@@ -42,6 +42,11 @@ class SpmvProgram final : public fi::Program {
   /// Output: y after `repeats` products (scaled to keep magnitudes stable).
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   /// Column-checksum detector (sum(y) against the golden sum) when
   /// SpmvConfig::detector is set; nullptr otherwise.
   const fi::Detector* detector() const noexcept override {

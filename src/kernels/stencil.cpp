@@ -28,6 +28,12 @@ StencilProgram::StencilProgram(StencilConfig config) : config_(config) {
 }
 
 std::vector<double> StencilProgram::run(fi::Tracer& t) const {
+  return run_body(t, config_.threads,
+                  [this](auto& stepper) { return body(stepper); });
+}
+
+template <typename Stepper>
+std::vector<double> StencilProgram::body(Stepper& t) const {
   const std::size_t nx = config_.nx;
   const std::size_t ny = config_.ny;
   const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
@@ -78,5 +84,8 @@ std::vector<double> StencilProgram::run(fi::Tracer& t) const {
   }
   return out;
 }
+
+// The generic path, callable on a Tracer from outside this file.
+template std::vector<double> StencilProgram::body(fi::Tracer&) const;
 
 }  // namespace ftb::kernels

@@ -41,6 +41,11 @@ class StencilProgram final : public fi::Program {
 
   std::vector<double> run(fi::Tracer& tracer) const override;
 
+  /// The kernel, written once over any stepper (fi/tracer.h); see
+  /// CgProgram::body.
+  template <typename Stepper>
+  std::vector<double> body(Stepper& t) const;
+
   /// Alternating-sign row-sum invariant (stride nx) when
   /// StencilConfig::detector is set; nullptr otherwise.
   const fi::Detector* detector() const noexcept override {

@@ -360,7 +360,7 @@ void Service::handle_predict_flip(net::Server::ConnId conn,
                            " sites"));
     return;
   }
-  const double golden = entry->golden.trace[req->site];
+  const double golden = entry->golden->run.trace[req->site];
   PredictFlipOk ok;
   ok.outcome = static_cast<std::uint32_t>(
       boundary::predict_flip(entry->boundary, req->site, golden,
@@ -393,7 +393,7 @@ void Service::handle_predict_site(net::Server::ConnId conn,
                            " sites"));
     return;
   }
-  const double golden = entry->golden.trace[req->site];
+  const double golden = entry->golden->run.trace[req->site];
   const boundary::SitePrediction prediction =
       boundary::predict_site(entry->boundary, req->site, golden);
   PredictSiteOk ok;
@@ -421,8 +421,8 @@ void Service::handle_phase_report(net::Server::ConnId conn,
     return;
   }
   PhaseReportOk ok;
-  ok.rows = boundary::phase_report(entry->phases, entry->boundary,
-                                   entry->golden.trace, {},
+  ok.rows = boundary::phase_report(entry->golden->phases, entry->boundary,
+                                   entry->golden->run.trace, {},
                                    entry->coverage_profile);
   reply(conn, make_phase_report_ok(ok));
 }

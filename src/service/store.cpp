@@ -14,40 +14,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Builds the golden-run half of an entry.  Throws std::invalid_argument
-/// for unknown kernel/preset names (kernels::make_program's contract).
-std::shared_ptr<StoreEntry> build_entry(
-    const StoreKey& key, boundary::FaultToleranceBoundary boundary,
-    const std::string& expect_config, std::string* error) {
-  const fi::ProgramPtr program =
-      kernels::make_program(key.kernel, kernels::preset_from_string(key.preset));
-  if (!expect_config.empty() && program->config_key() != expect_config) {
-    if (error != nullptr) {
-      *error = "artifact was built for config '" + expect_config +
-               "' but " + key.kernel + "@" + key.preset + " is '" +
-               program->config_key() + "'";
-    }
-    return nullptr;
-  }
-  auto entry = std::make_shared<StoreEntry>();
-  entry->key = key;
-  entry->config_key = program->config_key();
-  entry->boundary = std::move(boundary);
-  entry->golden = fi::run_golden(*program);
-  entry->phases = fi::PhaseMap(entry->golden.phases,
-                               entry->golden.dynamic_instructions());
-  if (entry->boundary.sites() != entry->golden.dynamic_instructions()) {
-    if (error != nullptr) {
-      *error = "artifact has " + std::to_string(entry->boundary.sites()) +
-               " sites but " + key.str() + " executes " +
-               std::to_string(entry->golden.dynamic_instructions()) +
-               " dynamic instructions";
-    }
-    return nullptr;
-  }
-  return entry;
-}
-
 }  // namespace
 
 std::string StoreKey::str() const {
@@ -134,6 +100,50 @@ std::size_t BoundaryStore::load_directory(
     telemetry_->metrics().counter("store.loads").add(loaded);
   }
   return loaded;
+}
+
+std::shared_ptr<StoreEntry> BoundaryStore::build_entry(
+    const StoreKey& key, boundary::FaultToleranceBoundary boundary,
+    const std::string& expect_config, std::string* error) {
+  const fi::ProgramPtr program =
+      kernels::make_program(key.kernel, kernels::preset_from_string(key.preset));
+  if (!expect_config.empty() && program->config_key() != expect_config) {
+    if (error != nullptr) {
+      *error = "artifact was built for config '" + expect_config +
+               "' but " + key.kernel + "@" + key.preset + " is '" +
+               program->config_key() + "'";
+    }
+    return nullptr;
+  }
+  auto entry = std::make_shared<StoreEntry>();
+  entry->key = key;
+  entry->config_key = program->config_key();
+  entry->boundary = std::move(boundary);
+  entry->golden = golden_for(*program);
+  if (entry->boundary.sites() != entry->golden->run.dynamic_instructions()) {
+    if (error != nullptr) {
+      *error = "artifact has " + std::to_string(entry->boundary.sites()) +
+               " sites but " + key.str() + " executes " +
+               std::to_string(entry->golden->run.dynamic_instructions()) +
+               " dynamic instructions";
+    }
+    return nullptr;
+  }
+  return entry;
+}
+
+std::shared_ptr<const GoldenReference> BoundaryStore::golden_for(
+    const fi::Program& program) {
+  const std::string config = program.config_key();
+  std::lock_guard<std::mutex> lock(golden_mutex_);
+  const auto it = goldens_.find(config);
+  if (it != goldens_.end()) return it->second;
+  fi::GoldenRun run = fi::run_golden(program);
+  fi::PhaseMap phases(run.phases, run.dynamic_instructions());
+  auto golden = std::make_shared<const GoldenReference>(
+      GoldenReference{std::move(run), std::move(phases)});
+  goldens_.emplace(config, golden);
+  return golden;
 }
 
 bool BoundaryStore::publish(const StoreKey& key,

@@ -2,11 +2,13 @@
 //
 // An entry bundles a deserialized FaultToleranceBoundary with the golden
 // run of the program it was built for (prediction queries need the golden
-// value at each site).  Entries are immutable once built and handed out as
-// shared_ptr snapshots: a query thread keeps its snapshot alive for the
-// duration of one request while loads and campaign publications swap the
-// map under a brief mutex, so queries never block on a directory scan or a
-// finishing campaign.
+// value at each site).  Every key of one program configuration (all seeds
+// of one kernel@preset) has the same golden run, so the store builds it
+// once per config key and its entries share it.  Entries are immutable
+// once built and handed out as shared_ptr snapshots: a query thread keeps
+// its snapshot alive for the duration of one request while loads and
+// campaign publications swap the map under a brief mutex, so queries never
+// block on a directory scan or a finishing campaign.
 //
 // Keys are "<kernel>@<preset>@<seed>" and double as file stems: the store
 // directory holds "<key>.boundary" artifacts (boundary/serialize framing)
@@ -42,12 +44,18 @@ struct StoreKey {
 std::optional<StoreKey> parse_store_key(const std::string& text,
                                         std::string* error = nullptr);
 
+/// One configuration's golden run and the phase map built from it,
+/// immutable and shared by every entry of that configuration.
+struct GoldenReference {
+  fi::GoldenRun run;
+  fi::PhaseMap phases;
+};
+
 struct StoreEntry {
   StoreKey key;
   std::string config_key;
   boundary::FaultToleranceBoundary boundary;
-  fi::GoldenRun golden;
-  fi::PhaseMap phases;
+  std::shared_ptr<const GoldenReference> golden;
   /// Per-site detector coverage (detected / (detected + SDC)), present only
   /// for entries published by a detector-armed campaign in this process;
   /// boundary artifacts on disk do not persist it.  Empty = unknown, and
@@ -88,11 +96,23 @@ class BoundaryStore {
   std::size_t size() const;
 
  private:
+  /// Builds an entry for `key`; nullptr (with diagnostic) when the artifact
+  /// does not fit the program.  Throws std::invalid_argument for unknown
+  /// kernel/preset names (kernels::make_program's contract).
+  std::shared_ptr<StoreEntry> build_entry(
+      const StoreKey& key, boundary::FaultToleranceBoundary boundary,
+      const std::string& expect_config, std::string* error);
+
+  /// The golden run of `program`'s configuration, built on first use.
+  std::shared_ptr<const GoldenReference> golden_for(const fi::Program& program);
+
   void insert(std::shared_ptr<const StoreEntry> entry);
 
   telemetry::Telemetry* telemetry_ = nullptr;
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const StoreEntry>> entries_;
+  std::mutex golden_mutex_;  // guards goldens_; queries never take it
+  std::map<std::string, std::shared_ptr<const GoldenReference>> goldens_;
 };
 
 }  // namespace ftb::service

@@ -27,8 +27,8 @@ namespace {
 struct ScriptedServer {
   enum class Step { kBusyThenClose, kPong };
 
-  explicit ScriptedServer(std::vector<Step> script)
-      : script(std::move(script)) {
+  explicit ScriptedServer(std::vector<Step> steps)
+      : script(std::move(steps)) {
     std::string error;
     listener = listen_tcp("127.0.0.1", 0, &port, &error);
     EXPECT_TRUE(listener.valid()) << error;

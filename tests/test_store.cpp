@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boundary/predictor.h"
 #include "boundary/serialize.h"
 #include "campaign/campaign.h"
 #include "campaign/log.h"
@@ -34,9 +35,8 @@ class StoreTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Writes a genuine artifact for daxpy@tiny@<seed> built from a real
-  /// (tiny) campaign, so config keys and site counts line up.
-  void write_real_artifact(std::uint64_t seed) {
+  /// The boundary of a real (tiny) daxpy campaign with `seed`.
+  static boundary::FaultToleranceBoundary real_boundary(std::uint64_t seed) {
     const fi::ProgramPtr program =
         kernels::make_program("daxpy", kernels::Preset::kTiny);
     const fi::GoldenRun golden = fi::run_golden(*program);
@@ -47,11 +47,19 @@ class StoreTest : public ::testing::Test {
         campaign::run_experiments(*program, golden, ids, util::default_pool());
     campaign::CampaignLog log(program->config_key());
     log.append(records);
-    const auto built = campaign::boundary_from_log(
-        *program, golden, log, {true, 32}, util::default_pool());
+    return campaign::boundary_from_log(*program, golden, log, {true, 32},
+                                       util::default_pool());
+  }
+
+  /// Writes a genuine artifact for daxpy@tiny@<seed> built from a real
+  /// (tiny) campaign, so config keys and site counts line up.
+  void write_real_artifact(std::uint64_t seed) {
+    const fi::ProgramPtr program =
+        kernels::make_program("daxpy", kernels::Preset::kTiny);
     const std::string path =
         (dir_ / ("daxpy@tiny@" + std::to_string(seed) + ".boundary")).string();
-    ASSERT_TRUE(boundary::save_to_file(built, program->config_key(), path));
+    ASSERT_TRUE(boundary::save_to_file(real_boundary(seed),
+                                       program->config_key(), path));
   }
 
   fs::path dir_;
@@ -82,7 +90,8 @@ TEST_F(StoreTest, LoadsRealArtifact) {
   EXPECT_TRUE(diagnostics.empty()) << diagnostics.front();
   const auto entry = store.find("daxpy@tiny@1");
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->boundary.sites(), entry->golden.dynamic_instructions());
+  EXPECT_EQ(entry->boundary.sites(),
+            entry->golden->run.dynamic_instructions());
   EXPECT_FALSE(entry->config_key.empty());
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.list().size(), 1u);
@@ -188,6 +197,80 @@ TEST_F(StoreTest, PublishRejectsSiteCountMismatch) {
   EXPECT_NE(error.find("sites"), std::string::npos) << error;
   EXPECT_FALSE(store.publish({"nosuchkernel", "tiny", 1}, wrong, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Every key of one kernel@preset has the same golden run, so the store
+// keeps one per config key; another preset is another configuration.
+TEST_F(StoreTest, KeysOfOneConfigShareOneGoldenRun) {
+  BoundaryStore store;
+  std::string error;
+  ASSERT_TRUE(store.publish({"daxpy", "tiny", 1}, real_boundary(1), &error))
+      << error;
+  ASSERT_TRUE(store.publish({"daxpy", "tiny", 2}, real_boundary(2), &error))
+      << error;
+  const fi::ProgramPtr wide =
+      kernels::make_program("daxpy", kernels::Preset::kDefault);
+  const boundary::FaultToleranceBoundary unit(
+      std::vector<double>(fi::run_golden(*wide).dynamic_instructions(), 1.0));
+  ASSERT_TRUE(store.publish({"daxpy", "default", 1}, unit, &error)) << error;
+
+  const auto first = store.find("daxpy@tiny@1");
+  const auto second = store.find("daxpy@tiny@2");
+  const auto other = store.find("daxpy@default@1");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(first->golden, second->golden);
+  EXPECT_NE(first->golden, other->golden);
+  EXPECT_EQ(other->golden->run.dynamic_instructions(), unit.sites());
+  EXPECT_EQ(first->golden->phases.segments().size(),
+            second->golden->phases.segments().size());
+
+  // Re-publishing a key keeps serving the configuration's one golden run.
+  ASSERT_TRUE(store.publish({"daxpy", "tiny", 1}, real_boundary(1), &error))
+      << error;
+  EXPECT_EQ(store.find("daxpy@tiny@1")->golden, second->golden);
+}
+
+// A store reloaded from the artifacts on disk serves the same predictions
+// as the one the campaign plane published into.
+TEST_F(StoreTest, ReloadedStoreServesIdenticalPredictions) {
+  BoundaryStore published;
+  std::string error;
+  for (std::uint64_t seed : {1, 2}) {
+    ASSERT_TRUE(published.publish({"daxpy", "tiny", seed}, real_boundary(seed),
+                                  &error))
+        << error;
+    write_real_artifact(seed);
+  }
+  BoundaryStore reloaded;
+  ASSERT_EQ(reloaded.load_directory(dir_.string()), 2u);
+  EXPECT_EQ(reloaded.find("daxpy@tiny@1")->golden,
+            reloaded.find("daxpy@tiny@2")->golden);
+
+  for (const char* key : {"daxpy@tiny@1", "daxpy@tiny@2"}) {
+    const auto a = published.find(key);
+    const auto b = reloaded.find(key);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(a->golden->run.trace, b->golden->run.trace);
+    for (std::size_t site = 0; site < a->boundary.sites(); ++site) {
+      const double golden = b->golden->run.trace[site];
+      EXPECT_EQ(a->boundary.threshold(site), b->boundary.threshold(site));
+      for (int bit = 0; bit < fi::kBitsPerValue; ++bit) {
+        EXPECT_EQ(boundary::predict_flip(a->boundary, site, golden, bit),
+                  boundary::predict_flip(b->boundary, site, golden, bit))
+            << key << " site " << site << " bit " << bit;
+      }
+      const boundary::SitePrediction pa =
+          boundary::predict_site(a->boundary, site, golden);
+      const boundary::SitePrediction pb =
+          boundary::predict_site(b->boundary, site, golden);
+      EXPECT_EQ(pa.masked, pb.masked);
+      EXPECT_EQ(pa.sdc, pb.sdc);
+      EXPECT_EQ(pa.crash, pb.crash);
+    }
+  }
 }
 
 }  // namespace

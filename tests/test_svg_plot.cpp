@@ -22,10 +22,11 @@ TEST(SvgChart, ContainsCanvasTitleAndSeries) {
       {"alpha", {0.0, 0.5, 1.0}, '*'},
       {"beta", {1.0, 0.5, 0.0}, 'o'},
   };
+  using namespace std::string_literals;
   SvgOptions options;
   options.title = "Shape <check>";
-  options.x_label = "x";
-  options.y_label = "y";
+  options.x_label = "x"s;
+  options.y_label = "y"s;
   const std::string svg = svg_chart(series, options);
   EXPECT_EQ(svg.rfind("<svg", 0), 0u);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);

@@ -10,7 +10,7 @@
 //   ftb_client shutdown  --port N            (asks the server to drain)
 //
 // Campaign plane:
-//   ftb_client submit --port N --kernel daxpy --preset tiny --seed 1 \
+//   ftb_client submit --port N --kernel daxpy --preset tiny --seed 1
 //                     --batch 500 [--workers 2] [--no-wait]
 //
 // submit streams CampaignProgress lines until CampaignDone unless
