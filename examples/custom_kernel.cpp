@@ -11,7 +11,11 @@
 // Tracer::with_stepper(), so each fault-injection experiment steps through
 // code compiled for its tracer mode instead of the generic mode switch
 // (same results, about half the cost per experiment on the shipped
-// kernels).
+// kernels).  And it opts in to golden fast-forward: it splits the body into
+// stages (Tracer::stage), one per Euler step, naming the state each reads,
+// so an experiment starts at the golden state before its site instead of
+// at instruction 0.  A kernel that declares no stages still works; its
+// experiments run whole.
 //
 // The kernel here is a damped pendulum integrated with explicit Euler:
 // small physics state, long dependency chain, intuitive resiliency
@@ -57,17 +61,30 @@ class PendulumProgram final : public fi::Program {
 
  private:
   /// The kernel, written once for every stepper: fi::Tracer itself or the
-  /// mode stepper with_stepper() picks (anything with step, phase, touch).
+  /// mode stepper with_stepper() picks (anything with step, phase, touch
+  /// and stage).
   template <typename Stepper>
   std::vector<double> body(Stepper& t) const {
-    // Instrumented state initialisation: these stores are injection sites.
-    double theta = t.step(0.75);   // initial angle (rad)
-    double omega = t.step(0.0);    // initial angular velocity
-    const double dt = t.step(0.01);
-    const double damping = t.step(0.9);
-    const double gravity_over_length = t.step(9.81 / 1.0);
+    double theta = 0.75;  // initial angle (rad)
+    double omega = 0.0;   // initial angular velocity
+    double dt = 0.01;
+    double damping = 0.9;
+    double gravity_over_length = 9.81 / 1.0;
 
+    // Stage 0, instrumented state initialisation: these stores are
+    // injection sites.  A run that starts later keeps the constants above,
+    // which is what the stores copied.
+    if (t.stage({})) {
+      theta = t.step(theta);
+      omega = t.step(omega);
+      dt = t.step(dt);
+      damping = t.step(damping);
+      gravity_over_length = t.step(gravity_over_length);
+    }
+
+    // One stage per Euler step, reading theta and omega.
     for (std::size_t i = 0; i < steps_; ++i) {
+      if (!t.stage({{&theta, 1}, {&omega, 1}})) continue;
       const double acceleration =
           -gravity_over_length * std::sin(theta) - damping * omega;
       omega = t.step(omega + dt * acceleration);

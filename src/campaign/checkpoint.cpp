@@ -11,6 +11,23 @@
 
 namespace ftb::campaign {
 
+namespace {
+
+/// Dynamic instructions the experiments of `chunk` run and skip: each
+/// skips those before its golden state (fi::start_state) and runs the rest
+/// of the trace (a run that traps stops earlier; it counts whole).
+std::pair<std::uint64_t, std::uint64_t> count_steps(
+    const fi::GoldenRun& golden, std::span<const ExperimentId> chunk) {
+  std::uint64_t skipped = 0;
+  for (ExperimentId id : chunk) {
+    const fi::GoldenState* start = fi::start_state(golden, injection_of(id));
+    if (start != nullptr) skipped += start->index;
+  }
+  return {chunk.size() * golden.trace.size() - skipped, skipped};
+}
+
+}  // namespace
+
 CampaignJournal::CampaignJournal(std::string path, std::string config_key,
                                  telemetry::Telemetry* telemetry)
     : path_(std::move(path)), telemetry_(telemetry) {
@@ -240,9 +257,16 @@ CheckpointRunResult run_campaign_checkpointed(
     if (first) first->settle(batch, keep);
     result.executed += batch.size();
     if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics()
-          .counter("checkpoint.experiments")
-          .add(batch.size());
+      telemetry::MetricsRegistry& metrics = options.telemetry->metrics();
+      metrics.counter("checkpoint.experiments").add(batch.size());
+      // The executors that fold are the ones that fast-forward.
+      if (first) {
+        const auto [run, skipped] = count_steps(golden, chunk);
+        chunk_span.arg("steps_run", static_cast<double>(run));
+        chunk_span.arg("steps_skipped", static_cast<double>(skipped));
+        metrics.counter("checkpoint.steps_run").add(run);
+        metrics.counter("checkpoint.steps_skipped").add(skipped);
+      }
     }
     journal.append(batch);
     report(batch, journal.size());

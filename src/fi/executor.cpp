@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -62,9 +63,14 @@ ExperimentResult classify_crash(const Tracer& tracer,
 GoldenRun run_golden(const Program& program) {
   GoldenRun golden;
   golden.trace.reserve(1024);
-  Tracer tracer =
-      Tracer::recorder(golden.trace, &golden.phases, &golden.touch_sizes);
+  Tracer tracer = Tracer::recorder(golden.trace, &golden.phases,
+                                   &golden.touch_sizes, &golden.states);
   golden.output = program.run(tracer);
+  // A state at the end of the run starts no experiment.
+  while (!golden.states.empty() &&
+         golden.states.back().index >= golden.trace.size()) {
+    golden.states.pop_back();
+  }
   for (double v : golden.trace) {
     if (!std::isfinite(v)) {
       throw std::runtime_error(program.name() +
@@ -81,11 +87,22 @@ std::uint64_t count_dynamic_instructions(const Program& program) {
   return tracer.steps();
 }
 
+const GoldenState* start_state(const GoldenRun& golden,
+                               const Injection& injection) noexcept {
+  if (injection.is_memory_fault()) return nullptr;
+  const auto after = std::upper_bound(
+      golden.states.begin(), golden.states.end(), injection.site,
+      [](std::uint64_t site, const GoldenState& state) {
+        return site < state.index;
+      });
+  return after == golden.states.begin() ? nullptr : &*std::prev(after);
+}
+
 ExperimentResult run_injected(const Program& program, const GoldenRun& golden,
                               const Injection& injection) {
   assert(injection.is_memory_fault() ||
          injection.site < golden.trace.size());
-  Tracer tracer = Tracer::injector(injection);
+  Tracer tracer = Tracer::injector(injection, start_state(golden, injection));
   try {
     const std::vector<double> output = program.run(tracer);
     return classify_finished(program, golden, tracer, output);
@@ -102,7 +119,8 @@ ExperimentResult run_injected_compare(const Program& program,
          injection.site < golden.trace.size());
   assert(diffs.size() == golden.trace.size());
   std::fill(diffs.begin(), diffs.end(), 0.0);
-  Tracer tracer = Tracer::comparator(injection, golden.trace, diffs);
+  Tracer tracer = Tracer::comparator(injection, golden.trace, diffs,
+                                     start_state(golden, injection));
   try {
     const std::vector<double> output = program.run(tracer);
     return classify_finished(program, golden, tracer, output);

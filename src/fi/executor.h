@@ -21,6 +21,9 @@ struct GoldenRun {
   std::vector<double> output;   // final program output
   std::vector<PhaseMark> phases;  // phase announcements, by start index
   std::vector<std::uint64_t> touch_sizes;  // span length of each touch() call
+  // The live state at the start of each stage the program declares
+  // (Tracer::stage), by strictly increasing index below trace.size().
+  std::vector<GoldenState> states;
   double tolerance = 0.0;       // comparator threshold for this output
 
   std::uint64_t dynamic_instructions() const noexcept { return trace.size(); }
@@ -36,6 +39,15 @@ GoldenRun run_golden(const Program& program);
 
 /// Counts dynamic instructions without recording (cheap sizing pass).
 std::uint64_t count_dynamic_instructions(const Program& program);
+
+/// The golden state a run of `injection` starts from: the last one at or
+/// before a trace-target site.  nullptr -- a whole run from instruction 0
+/// -- for a memory-target fault, a site before the first state, or a
+/// program that declares none.  run_injected and run_injected_compare
+/// start there on a mode stepper (fi/tracer.h); the generic Tracer, a
+/// sharded run and an armed snapshot hook still run whole.
+const GoldenState* start_state(const GoldenRun& golden,
+                               const Injection& injection) noexcept;
 
 /// Runs one fault-injection experiment and classifies the outcome.  For
 /// trace-target injections the site must be < golden.trace.size(); for

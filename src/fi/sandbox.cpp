@@ -26,6 +26,7 @@
 #include <unistd.h>
 #if defined(__linux__)
 #include <sys/prctl.h>
+#include <sys/syscall.h>
 #endif
 #else
 #define FTB_SANDBOX_POSIX 0
@@ -47,6 +48,35 @@ ExperimentResult isolation_result(Outcome outcome, CrashReason reason) {
   result.output_error = kInf;
   result.crash_site = 0;
   return result;
+}
+
+/// Reaps `pid`, which has been asked to exit: waits on its pidfd (or, where
+/// there is none, polls every 50 us) until `deadline`, then SIGKILLs it.
+void reap_before(pid_t pid, std::chrono::steady_clock::time_point deadline) {
+#if defined(SYS_pidfd_open)
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  const int pidfd = -1;
+#endif
+  int status = 0;
+  for (;;) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) break;
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      break;
+    }
+    if (pidfd >= 0) {
+      pollfd exited{pidfd, POLLIN, 0};
+      ::poll(&exited, 1,
+             static_cast<int>(
+                 std::chrono::ceil<std::chrono::milliseconds>(left).count()));
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  if (pidfd >= 0) ::close(pidfd);
 }
 
 // Plain-old-data mirror of ExperimentResult living in the shared block.
@@ -920,17 +950,7 @@ struct WorkerPool::Impl {
         std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
     for (Slot& slot : slots) {
       if (!slot.live) continue;
-      int status = 0;
-      for (;;) {
-        const pid_t waited = ::waitpid(slot.pid, &status, WNOHANG);
-        if (waited == slot.pid) break;
-        if (std::chrono::steady_clock::now() >= deadline) {
-          ::kill(slot.pid, SIGKILL);
-          ::waitpid(slot.pid, &status, 0);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      reap_before(slot.pid, deadline);
       slot.pid = -1;
       slot.live = false;
       slot.busy = false;

@@ -24,12 +24,23 @@
 // and no checkpoint-hook check, and runs every other tracer as itself.
 // Both paths execute the same FaultState rules, so they produce the same
 // values, crashes and diffs.
+//
+// Golden fast-forward: such a body may also split itself into *stages*
+// (stage()), naming at the start of each the live values later stages
+// read.  The golden run records them (GoldenState), and a trace-target
+// Inject or Compare run on a mode stepper starts at the last recorded state
+// at or before its site: it restores the values and skips the stages
+// before.  Kernels are deterministic with fixed control flow, so that
+// prefix *is* the golden prefix and the run's results are unchanged.  The
+// generic Tracer never fast-forwards.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string>
@@ -50,6 +61,32 @@ struct PhaseMark {
   std::string name;
 
   friend bool operator==(const PhaseMark&, const PhaseMark&) = default;
+};
+
+/// A kernel's live state at the start of one of its stages, recorded by
+/// the golden run (Tracer::stage): the values the stages from here on read
+/// that the stages before computed, concatenated in the order the kernel
+/// named them.  Values that copy constructor constants are not stored; a
+/// kernel takes those from the constants when it skips the stage that
+/// copied them.
+struct GoldenState {
+  std::uint64_t index = 0;        // dynamic instructions before the stage
+  std::uint32_t touch_index = 0;  // touch() calls before the stage
+  std::uint32_t stage = 0;        // the stage's number, in program order
+  std::vector<double> values;
+
+  /// Copies `values` back into `live`, the spans the stage named.
+  void restore(std::initializer_list<std::span<double>> live) const noexcept {
+    auto from = values.begin();
+    for (const std::span<double> span : live) {
+      assert(values.end() - from >= static_cast<std::ptrdiff_t>(span.size()));
+      std::copy_n(from, span.size(), span.begin());
+      from += static_cast<std::ptrdiff_t>(span.size());
+    }
+    assert(from == values.end());
+  }
+
+  friend bool operator==(const GoldenState&, const GoldenState&) = default;
 };
 
 /// Thrown by Tracer::step to abort an experiment run that produced a
@@ -159,22 +196,30 @@ class Tracer {
   /// Appends every produced value to `trace` (golden run).  When `phases`
   /// is given, Tracer::phase() announcements are recorded into it; when
   /// `touch_sizes` is given, the span length of every Tracer::touch() call
-  /// is recorded (sizing the memory-resident fault space, fi/memfault.h).
+  /// is recorded (sizing the memory-resident fault space, fi/memfault.h);
+  /// when `states` is given, the state at the start of every stage() is
+  /// (see stage()).
   static Tracer recorder(std::vector<double>& trace,
                          std::vector<PhaseMark>* phases = nullptr,
-                         std::vector<std::uint64_t>* touch_sizes = nullptr) noexcept {
+                         std::vector<std::uint64_t>* touch_sizes = nullptr,
+                         std::vector<GoldenState>* states = nullptr) noexcept {
     Tracer t(Mode::kRecord);
     t.trace_out_ = &trace;
     t.phases_out_ = phases;
     t.touch_sizes_out_ = touch_sizes;
+    t.states_out_ = states;
     return t;
   }
 
   /// Applies `injection` at its site; throws CrashSignal on non-finite
-  /// values from the injection site onward.
-  static Tracer injector(const Injection& injection) noexcept {
+  /// values from the injection site onward.  A mode stepper starts the run
+  /// at `start` (a golden state at or before a trace-target site; see
+  /// fi::start_state), the generic Tracer at instruction 0.
+  static Tracer injector(const Injection& injection,
+                         const GoldenState* start = nullptr) noexcept {
     Tracer t(Mode::kInject);
     t.state_.arm(injection);
+    t.start_ = start;
     return t;
   }
 
@@ -183,10 +228,12 @@ class Tracer {
   /// must have golden.size() elements and be zero-initialised by the caller.
   static Tracer comparator(const Injection& injection,
                            std::span<const double> golden,
-                           std::span<double> diffs) noexcept {
+                           std::span<double> diffs,
+                           const GoldenState* start = nullptr) noexcept {
     assert(diffs.size() == golden.size());
     Tracer t(Mode::kCompare);
     t.state_.arm(injection);
+    t.start_ = start;
     t.golden_ = golden;
     t.diffs_ = diffs;
     return t;
@@ -270,13 +317,39 @@ class Tracer {
     state_.touch(data);
   }
 
+  /// Enters the body's next stage, whose live state is `live`: the values
+  /// this stage and the ones after it read that the run before computed.
+  /// The body runs the stage only when this returns true.  The Tracer always
+  /// runs it; in the golden Record run it also records the state (none at
+  /// instruction 0, and a later stage at the same index replaces an earlier
+  /// one).  A mode stepper started at a golden state skips the stages
+  /// before it and restores `live` at it.  Every step and touch() of a
+  /// staged body must lie inside a stage, and a body that skips a stage
+  /// whose values copy constructor constants must take them from those.
+  bool stage(std::initializer_list<std::span<double>> live) {
+    const std::uint32_t number = next_stage_++;
+    if (states_out_ == nullptr || state_.index == 0) return true;
+    if (!states_out_->empty() && states_out_->back().index == state_.index) {
+      states_out_->pop_back();
+    }
+    GoldenState& state = states_out_->emplace_back();
+    state.index = state_.index;
+    state.touch_index = state_.touch_index;
+    state.stage = number;
+    for (const std::span<double> span : live) {
+      state.values.insert(state.values.end(), span.begin(), span.end());
+    }
+    return true;
+  }
+
   // ---- Mode-specialized stepping -------------------------------------------
   // Kernels write their body once, as a template over a stepper, and run it
   // through with_stepper() once per run.  Trace- and memory-target Inject
   // and Compare runs -- every campaign experiment -- get a ModeStepper that
-  // inlines that mode's FaultState rules; every other tracer (Count, the
-  // golden Record run, stream comparison, an armed snapshot checkpoint hook)
-  // runs the body on the Tracer itself.  Sharded kernels (threads > 1) call
+  // inlines that mode's FaultState rules and starts at the tracer's golden
+  // state, if any; every other tracer (Count, the golden Record run, stream
+  // comparison, an armed snapshot checkpoint hook) runs the body on the
+  // Tracer itself, from instruction 0.  Sharded kernels (threads > 1) call
   // the body on the Tracer directly: Tracer::Shard needs the tracer.
 
   template <bool kCompare>
@@ -287,7 +360,8 @@ class Tracer {
   /// Runs `body(stepper)` once, on the stepper compiled for this tracer's
   /// mode (see above), and returns what the body returns.  The tracer's
   /// steps(), fired(), injected_error() and original_value() afterwards --
-  /// also after a CrashSignal -- equal those of `body(*this)`.
+  /// also after a CrashSignal -- equal those of `body(*this)`, and
+  /// started_at() says where the run began.
   template <typename Body>
   auto with_stepper(Body&& body);
 
@@ -375,6 +449,12 @@ class Tracer {
   Shard shard(std::uint64_t steps) {
     assert(mode_ != Mode::kCompareStream &&
            "stream comparison cannot be sharded");
+    if (states_out_ != nullptr) {
+      // A sharded run steps the Tracer and so always runs whole: its golden
+      // run keeps no states.
+      states_out_->clear();
+      states_out_ = nullptr;
+    }
     if (state_.index >= next_checkpoint_) [[unlikely]] {
       // Sharded regions reserve index ranges in bulk, so a checkpoint that
       // lands inside one fires here, at the region edge, on the calling
@@ -441,6 +521,10 @@ class Tracer {
 
   /// Number of dynamic instructions seen so far.
   std::uint64_t steps() const noexcept { return state_.index; }
+
+  /// The dynamic instruction the run started at: its golden state's index
+  /// when a mode stepper fast-forwarded it, else 0.
+  std::uint64_t started_at() const noexcept { return started_at_; }
 
   /// True once the injection site has been reached.
   bool fired() const noexcept { return state_.fired; }
@@ -537,9 +621,13 @@ class Tracer {
   std::uint64_t next_checkpoint_ = kNoCheckpoint;
   CheckpointHook checkpoint_{};
   FaultState state_{};
+  std::uint32_t next_stage_ = 0;
+  std::uint64_t started_at_ = 0;
+  const GoldenState* start_ = nullptr;  // where a mode stepper starts
   std::vector<double>* trace_out_ = nullptr;
   std::vector<PhaseMark>* phases_out_ = nullptr;
   std::vector<std::uint64_t>* touch_sizes_out_ = nullptr;
+  std::vector<GoldenState>* states_out_ = nullptr;
   std::span<const double> golden_{};
   std::span<double> diffs_{};
   StreamHooks hooks_{};
@@ -550,15 +638,25 @@ class Tracer {
 /// rules inline, and writes the state back when it goes out of scope --
 /// when the kernel body returns and when a CrashSignal unwinds it -- so
 /// classify_finished / classify_crash read the tracer exactly as after a
-/// run that stepped the Tracer itself.
+/// run that stepped the Tracer itself.  Given the tracer's golden state, it
+/// starts at that state's step and touch counts and skips the stages
+/// before it.
 template <bool kCompare>
 class Tracer::ModeStepper {
  public:
   explicit ModeStepper(Tracer& home) noexcept
       : home_(home),
         state_(home.state_),
+        start_(home.start_),
         golden_(home.golden_),
-        diffs_(home.diffs_) {}
+        diffs_(home.diffs_) {
+    if (start_ != nullptr) {
+      state_.index = start_->index;
+      state_.touch_index = start_->touch_index;
+      home.started_at_ = start_->index;
+      home.start_ = nullptr;  // a run starts late once
+    }
+  }
   ~ModeStepper() { home_.state_ = state_; }
   ModeStepper(const ModeStepper&) = delete;
   ModeStepper& operator=(const ModeStepper&) = delete;
@@ -575,9 +673,20 @@ class Tracer::ModeStepper {
 
   void touch(std::span<double> data) noexcept { state_.touch(data); }
 
+  /// Skips the stages before the start state and restores `live` at it.
+  bool stage(std::initializer_list<std::span<double>> live) noexcept {
+    const std::uint32_t number = next_stage_++;
+    if (start_ == nullptr || number > start_->stage) return true;
+    if (number < start_->stage) return false;
+    start_->restore(live);
+    return true;
+  }
+
  private:
   Tracer& home_;
   FaultState state_;
+  std::uint32_t next_stage_ = 0;
+  const GoldenState* start_;
   std::span<const double> golden_;
   std::span<double> diffs_;
 };

@@ -44,6 +44,7 @@ class DaxpyProgram final : public fi::Program {
 
  private:
   DaxpyConfig config_;
+  std::vector<double> x_source_, y_source_;  // untraced inputs, built once
 };
 
 struct MatvecConfig {
@@ -78,6 +79,8 @@ class MatvecProgram final : public fi::Program {
 
  private:
   MatvecConfig config_;
+  // Untraced inputs, built once: the scaled matrix, then the vector.
+  std::vector<double> a_source_, y_source_;
 };
 
 }  // namespace ftb::kernels

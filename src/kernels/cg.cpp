@@ -86,32 +86,9 @@ std::vector<double> CgProgram::body(Stepper& t) const {
   const auto col_idx = structure_.col_idx();
   const auto ref_values = structure_.values();
 
-  // --- Phase 0: zero-initialisation of all work vectors (traced). ---------
-  t.phase("zero-init");
   std::vector<double> x(n), r(n), p(n), ap(n);
-  traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { x[i] = s.step(0.0); });
-  traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { r[i] = s.step(0.0); });
-  traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { p[i] = s.step(0.0); });
-  traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { ap[i] = s.step(0.0); });
-
-  // --- Phase 1: one-shot setup: right-hand side and operator assembly. ----
-  t.phase("setup");
-  std::vector<double> b(n);
-  traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { b[i] = s.step(rhs_[i]); });
   std::vector<double> a_values(ref_values.size());
-  traced_parallel_for(t, ref_values.size(), threads,
-                      [&](std::size_t k, auto& s) {
-                        a_values[k] = s.step(ref_values[k]);
-                      });
-  // Assembled state is now live in memory: a resident fault flipped here is
-  // read back by every later matvec (fi/memfault.h).
-  t.touch(a_values);
-  t.touch(b);
+  double rr = 0.0;
 
   const auto matvec_into = [&](const std::vector<double>& in,
                                std::vector<double>& out) {
@@ -132,20 +109,57 @@ std::vector<double> CgProgram::body(Stepper& t) const {
     return t.step(sum);
   };
 
-  // r = b - A*x0, p = r, rr = <r, r>.
-  matvec_into(x, ap);
-  traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
-    r[i] = s.step(b[i] - ap[i]);
-  });
-  traced_parallel_for(t, n, threads,
-                      [&](std::size_t i, auto& s) { p[i] = s.step(r[i]); });
-  double rr = dot(r, r);
+  // Stage 0 (fi/tracer.h): everything before the first iteration.  A run
+  // that starts later takes the operator values it copied from the
+  // constructor's.
+  if (t.stage({})) {
+    // --- Phase 0: zero-initialisation of all work vectors (traced). -------
+    t.phase("zero-init");
+    traced_parallel_for(t, n, threads,
+                        [&](std::size_t i, auto& s) { x[i] = s.step(0.0); });
+    traced_parallel_for(t, n, threads,
+                        [&](std::size_t i, auto& s) { r[i] = s.step(0.0); });
+    traced_parallel_for(t, n, threads,
+                        [&](std::size_t i, auto& s) { p[i] = s.step(0.0); });
+    traced_parallel_for(t, n, threads,
+                        [&](std::size_t i, auto& s) { ap[i] = s.step(0.0); });
 
-  // --- Phase 2: fixed-count CG iterations. ---------------------------------
-  t.phase("iterations");
-  t.touch(r);
-  t.touch(p);
+    // --- Phase 1: one-shot setup: right-hand side and operator assembly. --
+    t.phase("setup");
+    std::vector<double> b(n);
+    traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
+      b[i] = s.step(rhs_[i]);
+    });
+    traced_parallel_for(t, ref_values.size(), threads,
+                        [&](std::size_t k, auto& s) {
+                          a_values[k] = s.step(ref_values[k]);
+                        });
+    // Assembled state is now live in memory: a resident fault flipped here
+    // is read back by every later matvec (fi/memfault.h).
+    t.touch(a_values);
+    t.touch(b);
+
+    // r = b - A*x0, p = r, rr = <r, r>.
+    matvec_into(x, ap);
+    traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
+      r[i] = s.step(b[i] - ap[i]);
+    });
+    traced_parallel_for(t, n, threads,
+                        [&](std::size_t i, auto& s) { p[i] = s.step(r[i]); });
+    rr = dot(r, r);
+
+    // --- Phase 2: fixed-count CG iterations. -------------------------------
+    t.phase("iterations");
+    t.touch(r);
+    t.touch(p);
+  } else {
+    a_values.assign(ref_values.begin(), ref_values.end());
+  }
+
+  // Stage 1 + iter: one iteration, reading x, r, p and rr (ap is written
+  // before it is read).
   for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
+    if (!t.stage({x, r, p, {&rr, 1}})) continue;
     matvec_into(p, ap);
     const double p_ap = dot(p, ap);
     const double alpha = t.step(rr / p_ap);

@@ -108,78 +108,100 @@ std::vector<double> FftProgram::body(Stepper& t) const {
   const std::size_t n1 = config_.n1;
   const std::size_t n2 = config_.n2;
   const std::size_t n = n1 * n2;
+  std::vector<double> a_re(n), a_im(n), tw_re(n), tw_im(n);
+  std::vector<double> b_re(n), b_im(n), c_re(n), c_im(n);
+  std::vector<double> out(2 * n);
+
+  // Stages (fi/tracer.h) start at every phase and every row FFT.  The input
+  // and the twiddle table copy constructor constants, so a run that skips
+  // them copies the constants; b and c are stored while they are read.
 
   // Input signal (traced fill), viewed as an n1 x n2 row-major matrix.
-  t.phase("input");
-  std::vector<double> a_re(n), a_im(n);
-  for (std::size_t i = 0; i < n; ++i) a_re[i] = t.step(signal_re_[i]);
-  for (std::size_t i = 0; i < n; ++i) a_im[i] = t.step(signal_im_[i]);
+  if (t.stage({})) {
+    t.phase("input");
+    for (std::size_t i = 0; i < n; ++i) a_re[i] = t.step(signal_re_[i]);
+    for (std::size_t i = 0; i < n; ++i) a_im[i] = t.step(signal_im_[i]);
+  } else {
+    a_re = signal_re_;
+    a_im = signal_im_;
+  }
 
   // Twiddle table w_n^m for m in [0, n) (traced; SPLASH-2 precomputes the
   // same "roots of unity" array).
-  t.phase("twiddle-table");
-  std::vector<double> tw_re(n), tw_im(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    tw_re[m] = t.step(table_cos_[m]);
-    tw_im[m] = t.step(table_sin_[m]);
+  if (t.stage({})) {
+    t.phase("twiddle-table");
+    for (std::size_t m = 0; m < n; ++m) {
+      tw_re[m] = t.step(table_cos_[m]);
+      tw_im[m] = t.step(table_sin_[m]);
+    }
+  } else {
+    tw_re = table_cos_;
+    tw_im = table_sin_;
   }
 
   // Step 1: transpose a (n1 x n2) -> b (n2 x n1).
-  t.phase("transpose-1");
-  std::vector<double> b_re(n), b_im(n);
-  for (std::size_t j2 = 0; j2 < n2; ++j2) {
-    for (std::size_t j1 = 0; j1 < n1; ++j1) {
-      b_re[j2 * n1 + j1] = t.step(a_re[j1 * n2 + j2]);
-      b_im[j2 * n1 + j1] = t.step(a_im[j1 * n2 + j2]);
+  if (t.stage({})) {
+    t.phase("transpose-1");
+    for (std::size_t j2 = 0; j2 < n2; ++j2) {
+      for (std::size_t j1 = 0; j1 < n1; ++j1) {
+        b_re[j2 * n1 + j1] = t.step(a_re[j1 * n2 + j2]);
+        b_im[j2 * n1 + j1] = t.step(a_im[j1 * n2 + j2]);
+      }
     }
   }
 
   // Step 2: n2 row FFTs of length n1.
   t.phase("row-ffts-1");
   for (std::size_t j2 = 0; j2 < n2; ++j2) {
+    if (!t.stage({b_re, b_im})) continue;
     fft_row(t, b_re.data() + j2 * n1, b_im.data() + j2 * n1, n1,
             butterfly_cos_.data(), butterfly_sin_.data());
   }
 
   // Step 3: twiddle -- b[j2][k1] *= w_n^(j2 * k1).
-  t.phase("twiddle-multiply");
-  for (std::size_t j2 = 0; j2 < n2; ++j2) {
-    for (std::size_t k1 = 0; k1 < n1; ++k1) {
-      const std::size_t m = (j2 * k1) % n;
-      const double wr = tw_re[m];
-      const double wi = tw_im[m];
-      const std::size_t idx = j2 * n1 + k1;
-      const double xr = b_re[idx];
-      const double xi = b_im[idx];
-      b_re[idx] = t.step(xr * wr - xi * wi);
-      b_im[idx] = t.step(xr * wi + xi * wr);
+  if (t.stage({b_re, b_im})) {
+    t.phase("twiddle-multiply");
+    for (std::size_t j2 = 0; j2 < n2; ++j2) {
+      for (std::size_t k1 = 0; k1 < n1; ++k1) {
+        const std::size_t m = (j2 * k1) % n;
+        const double wr = tw_re[m];
+        const double wi = tw_im[m];
+        const std::size_t idx = j2 * n1 + k1;
+        const double xr = b_re[idx];
+        const double xi = b_im[idx];
+        b_re[idx] = t.step(xr * wr - xi * wi);
+        b_im[idx] = t.step(xr * wi + xi * wr);
+      }
     }
   }
 
   // Step 4: transpose b (n2 x n1) -> c (n1 x n2).
-  t.phase("transpose-2");
-  std::vector<double> c_re(n), c_im(n);
-  for (std::size_t k1 = 0; k1 < n1; ++k1) {
-    for (std::size_t j2 = 0; j2 < n2; ++j2) {
-      c_re[k1 * n2 + j2] = t.step(b_re[j2 * n1 + k1]);
-      c_im[k1 * n2 + j2] = t.step(b_im[j2 * n1 + k1]);
+  if (t.stage({b_re, b_im})) {
+    t.phase("transpose-2");
+    for (std::size_t k1 = 0; k1 < n1; ++k1) {
+      for (std::size_t j2 = 0; j2 < n2; ++j2) {
+        c_re[k1 * n2 + j2] = t.step(b_re[j2 * n1 + k1]);
+        c_im[k1 * n2 + j2] = t.step(b_im[j2 * n1 + k1]);
+      }
     }
   }
 
   // Step 5: n1 row FFTs of length n2.
   t.phase("row-ffts-2");
   for (std::size_t k1 = 0; k1 < n1; ++k1) {
+    if (!t.stage({c_re, c_im})) continue;
     fft_row(t, c_re.data() + k1 * n2, c_im.data() + k1 * n2, n2,
             butterfly_cos_.data(), butterfly_sin_.data());
   }
 
   // Step 6: transpose into the natural-order spectrum: out[k2*n1 + k1].
-  t.phase("transpose-out");
-  std::vector<double> out(2 * n);
-  for (std::size_t k2 = 0; k2 < n2; ++k2) {
-    for (std::size_t k1 = 0; k1 < n1; ++k1) {
-      out[2 * (k2 * n1 + k1)] = t.step(c_re[k1 * n2 + k2]);
-      out[2 * (k2 * n1 + k1) + 1] = t.step(c_im[k1 * n2 + k2]);
+  if (t.stage({c_re, c_im})) {
+    t.phase("transpose-out");
+    for (std::size_t k2 = 0; k2 < n2; ++k2) {
+      for (std::size_t k1 = 0; k1 < n1; ++k1) {
+        out[2 * (k2 * n1 + k1)] = t.step(c_re[k1 * n2 + k2]);
+        out[2 * (k2 * n1 + k1) + 1] = t.step(c_im[k1 * n2 + k2]);
+      }
     }
   }
   return out;

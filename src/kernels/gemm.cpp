@@ -15,8 +15,14 @@ std::string GemmConfig::key() const {
   return key;
 }
 
-GemmProgram::GemmProgram(GemmConfig config) : config_(config) {
+GemmProgram::GemmProgram(GemmConfig config)
+    : config_(config),
+      a_source_(config_.n * config_.n),
+      b_source_(config_.n * config_.n) {
   assert(config_.block > 0 && config_.n % config_.block == 0);
+  util::Rng rng(config_.seed);
+  for (double& v : a_source_) v = rng.next_double(-1.0, 1.0);
+  for (double& v : b_source_) v = rng.next_double(-1.0, 1.0);
   if (config_.detector) {
     // Full-checksum GEMM (Huang & Abraham 1984): sum(C) equals the product
     // of the input checksum vectors in the fault-free run, so the golden
@@ -36,11 +42,10 @@ std::vector<double> GemmProgram::body(Stepper& t) const {
   const std::size_t nb = config_.block;
 
   t.phase("fill-a");
-  util::Rng rng(config_.seed);
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);
-  for (double& v : a) v = t.step(rng.next_double(-1.0, 1.0));
+  for (std::size_t i = 0; i < n * n; ++i) a[i] = t.step(a_source_[i]);
   t.phase("fill-b");
-  for (double& v : b) v = t.step(rng.next_double(-1.0, 1.0));
+  for (std::size_t i = 0; i < n * n; ++i) b[i] = t.step(b_source_[i]);
 
   t.phase("multiply");
   // Blocked i-k-j schedule: for each k tile, C tiles accumulate one rank-nb

@@ -56,6 +56,8 @@ class GemmProgram final : public fi::Program {
 
  private:
   GemmConfig config_;
+  // Untraced inputs, built once: both matrices, drawn a first, then b.
+  std::vector<double> a_source_, b_source_;
   fi::DetectorPtr detector_;
 };
 

@@ -1,6 +1,5 @@
 #include "kernels/jacobi.h"
 
-#include "linalg/csr.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -12,7 +11,13 @@ std::string JacobiConfig::key() const {
                       static_cast<unsigned long long>(rhs_seed), atol, rtol);
 }
 
-JacobiProgram::JacobiProgram(JacobiConfig config) : config_(config) {}
+JacobiProgram::JacobiProgram(JacobiConfig config)
+    : config_(config),
+      structure_(linalg::CsrMatrix::poisson5(config_.nx, config_.ny)),
+      rhs_(unknowns()) {
+  util::Rng rng(config_.rhs_seed);
+  for (double& v : rhs_) v = rng.next_double(-1.0, 1.0);
+}
 
 std::vector<double> JacobiProgram::run(fi::Tracer& t) const {
   return t.with_stepper([this](auto& stepper) { return body(stepper); });
@@ -21,16 +26,13 @@ std::vector<double> JacobiProgram::run(fi::Tracer& t) const {
 template <typename Stepper>
 std::vector<double> JacobiProgram::body(Stepper& t) const {
   const std::size_t n = unknowns();
-  const linalg::CsrMatrix a =
-      linalg::CsrMatrix::poisson5(config_.nx, config_.ny);
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
+  const auto row_ptr = structure_.row_ptr();
+  const auto col_idx = structure_.col_idx();
+  const auto values = structure_.values();
 
   t.phase("setup");
-  util::Rng rng(config_.rhs_seed);
   std::vector<double> b(n);
-  for (double& v : b) v = t.step(rng.next_double(-1.0, 1.0));
+  for (std::size_t i = 0; i < n; ++i) b[i] = t.step(rhs_[i]);
   std::vector<double> x(n), next(n);
   for (double& v : x) v = t.step(0.0);
 

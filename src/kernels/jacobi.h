@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fi/program.h"
+#include "linalg/csr.h"
 
 namespace ftb::kernels {
 
@@ -52,6 +53,10 @@ class JacobiProgram final : public fi::Program {
 
  private:
   JacobiConfig config_;
+  // Untraced per-config inputs, built once and stepped like any other
+  // value: the operator and the right-hand side.
+  linalg::CsrMatrix structure_;
+  std::vector<double> rhs_;
 };
 
 }  // namespace ftb::kernels

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fi/program.h"
+#include "linalg/csr.h"
 
 namespace ftb::kernels {
 
@@ -57,6 +58,10 @@ class SpmvProgram final : public fi::Program {
 
  private:
   SpmvConfig config_;
+  // Untraced per-config inputs, built once and stepped like any other
+  // value: the operator and the input vector.
+  linalg::CsrMatrix structure_;
+  std::vector<double> init_;
   fi::DetectorPtr detector_;
 };
 

@@ -16,7 +16,10 @@ std::string StencilConfig::key() const {
   return key;
 }
 
-StencilProgram::StencilProgram(StencilConfig config) : config_(config) {
+StencilProgram::StencilProgram(StencilConfig config)
+    : config_(config), init_(config_.nx * config_.ny) {
+  util::Rng rng(config_.init_seed);
+  for (double& v : init_) v = rng.next_double(-1.0, 1.0);
   if (config_.detector) {
     // Alternating-sign per-row sums: the smoothing sweep preserves interior
     // row sums almost exactly, and the sign fold keeps corruptions in
@@ -48,13 +51,10 @@ std::vector<double> StencilProgram::body(Stepper& t) const {
 
   // Traced initial interior fill.
   t.phase("init");
-  util::Rng rng(config_.init_seed);
-  std::vector<double> init(nx * ny);
-  for (double& v : init) v = rng.next_double(-1.0, 1.0);
   traced_parallel_for(t, nx * ny, threads, [&](std::size_t cell, auto& s) {
     const std::size_t ix = 1 + cell % nx;
     const std::size_t iy = 1 + cell / nx;
-    grid[index(ix, iy)] = s.step(init[cell]);
+    grid[index(ix, iy)] = s.step(init_[cell]);
   });
 
   // The whole field (halo included) is live between sweeps; a resident

@@ -56,6 +56,7 @@ class StencilProgram final : public fi::Program {
 
  private:
   StencilConfig config_;
+  std::vector<double> init_;  // untraced interior fill, built once
   fi::DetectorPtr detector_;
 };
 

@@ -1,10 +1,14 @@
 // Mode steppers against the generic Tracer.  Program::run hands Inject and
-// Compare runs a stepper compiled for that mode (Tracer::with_stepper);
+// Compare runs a stepper compiled for that mode (Tracer::with_stepper),
+// which starts a trace-target run at its golden state (fi::start_state);
 // every other run, and any kernel body instantiated with fi::Tracer itself,
-// steps through Tracer::step's mode switch.  For every shipped kernel (the
-// hazard kernels only implement run(fi::Tracer&)) the two paths must agree
-// on everything an executor or classifier reads: outcome, crash site,
-// injected and output error, step count, fired state, and every diff.
+// steps through Tracer::step's mode switch from instruction 0.  For every
+// shipped kernel (the hazard kernels only implement run(fi::Tracer&)) the
+// two paths must agree on everything an executor or classifier reads:
+// outcome, crash site, injected and output error, step count, fired state,
+// and every diff.  Each fast run must also have started where
+// fi::start_state says, so the suite fails if fast-forward is silently off.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -61,6 +65,11 @@ bool is_hazard(const std::string& name) {
   return name == "hazard" || name == "hazard_spin";
 }
 
+/// The kernels whose bodies are split into stages (fi/tracer.h).
+bool declares_states(const std::string& name) {
+  return name == "cg" || name == "lu" || name == "fft";
+}
+
 constexpr int kBits[] = {0, 13, 31, 44, 51, 52, 62, 63};
 
 /// Diff slots no rule may write: a propagated error is never negative.
@@ -70,19 +79,24 @@ constexpr double kUntouched = -1.0;
 struct Observed {
   fi::ExperimentResult result;
   std::uint64_t steps = 0;
+  std::uint64_t started_at = 0;
   bool fired = false;
   double original_value = 0.0;
   std::vector<double> diffs;  // compare runs only
 };
 
+/// Runs `injection` with the tracer the executor builds: started at
+/// fi::start_state on a mode stepper.
 Observed observe(const fi::Program& program, const fi::GoldenRun& golden,
                  const fi::Injection& injection, bool compare,
                  const std::function<std::vector<double>(fi::Tracer&)>& run) {
   Observed seen;
   seen.diffs.assign(compare ? golden.trace.size() : 0, kUntouched);
+  const fi::GoldenState* start = fi::start_state(golden, injection);
   fi::Tracer tracer =
-      compare ? fi::Tracer::comparator(injection, golden.trace, seen.diffs)
-              : fi::Tracer::injector(injection);
+      compare ? fi::Tracer::comparator(injection, golden.trace, seen.diffs,
+                                       start)
+              : fi::Tracer::injector(injection, start);
   try {
     const std::vector<double> output = run(tracer);
     seen.result = fi::classify_finished(program, golden, tracer, output);
@@ -90,6 +104,7 @@ Observed observe(const fi::Program& program, const fi::GoldenRun& golden,
     seen.result = fi::classify_crash(tracer, signal.site);
   }
   seen.steps = tracer.steps();
+  seen.started_at = tracer.started_at();
   seen.fired = tracer.fired();
   seen.original_value = tracer.original_value();
   return seen;
@@ -146,7 +161,7 @@ class StepperEquivalence : public ::testing::TestWithParam<KernelCase> {
   }
 
   /// Every site, or max_sites of them spread over the trace (first and
-  /// last included).
+  /// last included) and every golden state's index and its neighbours.
   std::vector<std::uint64_t> sites() const {
     const std::uint64_t total = golden_.dynamic_instructions();
     const std::uint64_t wanted = GetParam().max_sites;
@@ -158,7 +173,25 @@ class StepperEquivalence : public ::testing::TestWithParam<KernelCase> {
     for (std::uint64_t i = 0; i < wanted; ++i) {
       out.push_back(i * (total - 1) / (wanted - 1));
     }
+    for (const fi::GoldenState& state : golden_.states) {
+      for (const std::uint64_t site :
+           {state.index - 1, state.index, state.index + 1}) {
+        if (site < total) out.push_back(site);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
+  }
+
+  /// Where a run at `site` must start: the index of the last golden state
+  /// at or before it, found without fi::start_state.
+  std::uint64_t expected_start(std::uint64_t site) const {
+    std::uint64_t start = 0;
+    for (const fi::GoldenState& state : golden_.states) {
+      if (state.index <= site) start = state.index;
+    }
+    return start;
   }
 
   /// Runs `injection` on both paths and checks they agree.  For trace
@@ -190,6 +223,10 @@ class StepperEquivalence : public ::testing::TestWithParam<KernelCase> {
         << where;
     EXPECT_EQ(fast.result.detector_fired, slow.result.detector_fired) << where;
     EXPECT_EQ(fast.steps, slow.steps) << where;
+    EXPECT_EQ(fast.started_at,
+              injection.is_memory_fault() ? 0 : expected_start(injection.site))
+        << where;
+    EXPECT_EQ(slow.started_at, 0u) << where << ": the generic body skipped";
     EXPECT_EQ(fast.fired, slow.fired) << where;
     EXPECT_EQ(fi::to_bits(fast.original_value),
               fi::to_bits(slow.original_value))
@@ -212,11 +249,17 @@ class StepperEquivalence : public ::testing::TestWithParam<KernelCase> {
   }
 
   void sweep_trace_faults(bool compare) {
+    std::uint64_t skipped = 0;
     for (const std::uint64_t site : sites()) {
       for (const int bit : kBits) {
         expect_same(fi::Injection::bit_flip(site, bit), compare);
         if (HasFailure()) return;  // one broken site says enough
       }
+      skipped += expected_start(site);
+    }
+    // The kernels that declare stages must fast-forward some of these runs.
+    if (declares_states(GetParam().kernel)) {
+      EXPECT_GT(skipped, 0u);
     }
   }
 
