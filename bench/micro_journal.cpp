@@ -4,12 +4,19 @@
 // in-process 2-thread pool, flush_every 512, a fresh journal each time.
 // Besides the wall time of the whole call it reports
 //
-//   flush_ms       summed checkpoint.flush spans (every journal write)
+//   flush_ms       summed checkpoint.flush spans: what the runner blocks on
+//                  for the journal (every frame and the final compaction)
+//   sync_ms        summed checkpoint.sync spans: the writer thread's frame
+//                  writes and fsyncs, off the runner's path (0 where frames
+//                  are written in line)
 //   flushes        CheckpointRunResult::flushes
 //   bytes_written  bytes the process handed to write() during the call
 //                  (/proc/self/io wchar; the in-process pool writes
 //                  nothing else), 0 where /proc is unavailable
 //   final_bytes    size of the finished journal
+//
+// BM_Crc32 times util::crc32 over 64 B, one 512-record frame (28688 B) and
+// a finished 20000-record journal (1120087 B).
 //
 // Only APIs that predate the append-only journal are used, so the same
 // source measures a build that rewrites the journal per flush.
@@ -28,6 +35,7 @@
 #include "campaign/sampler.h"
 #include "kernels/registry.h"
 #include "telemetry/events.h"
+#include "util/cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -73,6 +81,7 @@ void BM_CheckpointedCampaign(benchmark::State& state) {
           .string();
 
   double flush_ms = 0.0;
+  double sync_ms = 0.0;
   double flushes = 0.0;
   double bytes = 0.0;
   for (auto _ : state) {
@@ -90,14 +99,16 @@ void BM_CheckpointedCampaign(benchmark::State& state) {
     bytes = static_cast<double>(bytes_written_so_far() - before);
     benchmark::DoNotOptimize(run.log.size());
     flush_ms = 0.0;
+    sync_ms = 0.0;
     for (const telemetry::TraceEvent& event : telemetry.events()) {
-      if (event.name == "checkpoint.flush") {
-        flush_ms += static_cast<double>(event.duration_ns) / 1e6;
-      }
+      const double ms = static_cast<double>(event.duration_ns) / 1e6;
+      if (event.name == "checkpoint.flush") flush_ms += ms;
+      if (event.name == "checkpoint.sync") sync_ms += ms;
     }
     flushes = static_cast<double>(run.flushes);
   }
   state.counters["flush_ms"] = flush_ms;
+  state.counters["sync_ms"] = sync_ms;
   state.counters["flushes"] = flushes;
   state.counters["bytes_written"] = bytes;
   state.counters["final_bytes"] =
@@ -112,5 +123,19 @@ BENCHMARK(BM_CheckpointedCampaign)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+void BM_Crc32(benchmark::State& state) {
+  util::Rng rng(3);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::uint8_t& byte : bytes) {
+    byte = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->ArgName("bytes")->Arg(64)->Arg(28688)->Arg(1120087);
 
 }  // namespace

@@ -77,6 +77,52 @@ CampaignJournal::CampaignJournal(std::string path, std::string config_key,
     telemetry_->metrics().counter("checkpoint.torn_frames").add(torn_frames_);
     telemetry_->metrics().counter("checkpoint.bytes_written").add(image.size());
   }
+  writer_ = std::thread([this] { write_behind(); });
+}
+
+CampaignJournal::~CampaignJournal() { stop_writer(); }
+
+void CampaignJournal::write_behind() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    cv_.wait(lock, [this] { return in_flight_ || closing_; });
+    if (!in_flight_) return;
+    lock.unlock();
+    std::string error;
+    bool ok = false;
+    try {
+      telemetry::SpanScope span(telemetry_, "checkpoint.sync", "checkpoint");
+      span.arg("bytes", static_cast<double>(frame_.size()));
+      ok = file_.append(frame_.data(), frame_.size(), &error);
+      if (ok) count_write(frame_.size());
+    } catch (const std::exception& e) {
+      // No exception may leave the thread: forward it like a failed write.
+      ok = false;
+      error = e.what();
+    }
+    lock.lock();
+    if (!ok && error_.empty()) {
+      error_ = "cannot append to campaign journal '" + path_ + "': " + error;
+    }
+    in_flight_ = false;
+    cv_.notify_all();
+  }
+}
+
+void CampaignJournal::stop_writer() noexcept {
+  if (!writer_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closing_ = true;
+  }
+  cv_.notify_all();
+  writer_.join();  // after the frame in flight, if any
+}
+
+void CampaignJournal::sync() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [this] { return !in_flight_; });
+  if (!error_.empty()) throw std::runtime_error(error_);
 }
 
 std::vector<ExperimentId> CampaignJournal::owed(
@@ -89,23 +135,35 @@ std::vector<ExperimentId> CampaignJournal::owed(
   return remaining;
 }
 
-void CampaignJournal::append(std::span<const ExperimentRecord> batch) {
-  telemetry::SpanScope span(telemetry_, "checkpoint.flush", "checkpoint");
-  log_.append(batch);
-  const std::string frame = encode_journal_frame(batch);
-  std::string error;
-  if (!file_.append(frame.data(), frame.size(), &error)) {
-    throw std::runtime_error("cannot append to campaign journal '" + path_ +
-                             "': " + error);
+void CampaignJournal::append(std::span<const ExperimentRecord> batch,
+                             const std::function<void()>& durable) {
+  if (!writer_.joinable()) {
+    throw std::runtime_error("campaign journal '" + path_ + "' is closed");
   }
-  span.arg("records", static_cast<double>(log_.size()));
-  span.arg("bytes", static_cast<double>(frame.size()));
-  span.arg("compact", 0.0);
-  count_write(frame.size());
+  std::string frame;
+  {
+    telemetry::SpanScope span(telemetry_, "checkpoint.flush", "checkpoint");
+    frame = encode_journal_frame(batch);
+    sync();
+    span.arg("records", static_cast<double>(log_.size() + batch.size()));
+    span.arg("bytes", static_cast<double>(frame.size()));
+    span.arg("compact", 0.0);
+  }
+  if (durable) durable();
+  log_.append(batch);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    frame_ = std::move(frame);
+    in_flight_ = true;
+  }
+  cv_.notify_all();
 }
 
-CampaignLog CampaignJournal::finish() {
+CampaignLog CampaignJournal::finish(const std::function<void()>& durable) {
+  sync();
+  if (durable) durable();
   telemetry::SpanScope span(telemetry_, "checkpoint.flush", "checkpoint");
+  stop_writer();
   file_.close();
   log_.dedupe();
   // CampaignLog::save's durable publish, spelled out to learn the size and
@@ -143,6 +201,7 @@ CheckpointRunResult run_campaign_checkpointed(
   result.torn_frames = journal.torn_frames();
   std::vector<ExperimentId> remaining = journal.owed(ids);
   result.skipped = ids.size() - remaining.size();
+  journal.reserve(remaining.size());
 
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::default_pool();
@@ -190,20 +249,28 @@ CheckpointRunResult run_campaign_checkpointed(
     supervisor.emplace(program, golden, supervisor_options);
   }
 
-  const auto report = [&](std::span<const ExperimentRecord> chunk,
-                          std::size_t logged) {
+  // What a report says about a chunk, taken when its frame is handed over
+  // and reported once that frame is durable: one chunk behind execution,
+  // never ahead of the disk.
+  struct ChunkReport {
+    std::vector<ExperimentRecord> records;
+    std::uint64_t executed = 0;
+    std::size_t logged = 0;
+    SupervisorStats supervisor;
+  };
+  const auto report = [&](const ChunkReport& chunk) {
     if (!options.on_progress) return;
     CheckpointProgress progress;
-    progress.executed = result.executed;
+    progress.executed = chunk.executed;
     progress.total = remaining.size();
-    progress.logged = logged;
-    progress.chunk = chunk;
-    SupervisorStats stats_copy;
-    if (supervisor) {
-      stats_copy = supervisor->stats();
-      progress.supervisor = &stats_copy;
-    }
+    progress.logged = chunk.logged;
+    progress.chunk = chunk.records;
+    if (supervisor) progress.supervisor = &chunk.supervisor;
     options.on_progress(progress);
+  };
+  std::optional<ChunkReport> handed;
+  const auto report_handed = [&] {
+    if (handed) report(*handed);
   };
 
   for (std::size_t begin = 0; begin < remaining.size(); begin += flush_every) {
@@ -218,13 +285,14 @@ CheckpointRunResult run_campaign_checkpointed(
                                     "checkpoint");
     chunk_span.arg("experiments", static_cast<double>(chunk.size()));
     std::vector<ExperimentRecord> batch;
+    SupervisorStats after;  // on the supervisor path
     // The chunk's partials are kept unless a worker died or hung, or the
     // in-process fallback ran experiments that did not fold.
     bool keep = true;
     if (supervisor) {
       const SupervisorStats before = supervisor->stats();
       batch = supervisor->run(chunk);
-      const SupervisorStats after = supervisor->stats();
+      after = supervisor->stats();
       keep = after.worker_deaths == before.worker_deaths &&
              after.worker_hangs == before.worker_hangs &&
              after.fallback_experiments == before.fallback_experiments;
@@ -268,15 +336,24 @@ CheckpointRunResult run_campaign_checkpointed(
         metrics.counter("checkpoint.steps_skipped").add(skipped);
       }
     }
-    journal.append(batch);
-    report(batch, journal.size());
+    // Frame k-1 is durable and chunk k-1 reported before frame k can reach
+    // the file; the writer then syncs frame k while chunk k+1 runs.
+    ChunkReport next{std::move(batch), result.executed, 0, after};
+    journal.append(next.records, report_handed);
+    next.logged = journal.size();
+    handed = std::move(next);
   }
 
+  // The workers exit while the journal compacts; the supervisor reaps them
+  // on the way out.
+  if (supervisor) {
+    result.supervisor_stats = supervisor->stats();
+    supervisor->request_exit();
+  }
   // Complete or drained, the journal ends as the deduped v3 image.
-  result.log = journal.finish();
+  result.log = journal.finish(report_handed);
   result.flushes = journal.flushes();
-  report({}, result.log.size());
-  if (supervisor) result.supervisor_stats = supervisor->stats();
+  report({{}, result.executed, result.log.size(), result.supervisor_stats});
   if (first) result.evidence = first->finish();
   return result;
 }

@@ -60,7 +60,8 @@ std::string seal(util::BinaryWriter& writer) {
   const std::uint32_t crc =
       util::crc32(writer.buffer().data(), writer.buffer().size());
   writer.put_u64(crc);
-  return {writer.buffer().begin(), writer.buffer().end()};
+  return {reinterpret_cast<const char*>(writer.buffer().data()),
+          writer.buffer().size()};
 }
 
 /// Decodes record `index` into `record`.  Returns a diagnosis for a value
@@ -197,6 +198,16 @@ void CampaignLog::append(std::span<const ExperimentRecord> batch) {
 }
 
 void CampaignLog::dedupe() {
+  // A fresh checkpointed run journals its ids in strictly descending order:
+  // sorted and without duplicates once reversed.
+  if (std::adjacent_find(records_.begin(), records_.end(),
+                         [](const ExperimentRecord& a,
+                            const ExperimentRecord& b) {
+                           return a.id <= b.id;
+                         }) == records_.end()) {
+    std::reverse(records_.begin(), records_.end());
+    return;
+  }
   std::stable_sort(records_.begin(), records_.end(),
                    [](const ExperimentRecord& a, const ExperimentRecord& b) {
                      return a.id < b.id;
@@ -229,6 +240,7 @@ std::vector<ExperimentId> CampaignLog::ids() const {
 
 std::string CampaignLog::serialize() const {
   util::BinaryWriter writer;
+  writer.reserve(5 * 8 + config_key_.size() + records_.size() * kRecordBytes);
   writer.put_u64(kMagic);
   writer.put_u64(kVersion);
   writer.put_string(config_key_);
@@ -247,6 +259,7 @@ std::string encode_journal_header(const std::string& config_key) {
 
 std::string encode_journal_frame(std::span<const ExperimentRecord> records) {
   util::BinaryWriter writer;
+  writer.reserve(2 * 8 + records.size() * kRecordBytes);
   writer.put_u64(records.size());
   for (const ExperimentRecord& record : records) put_record(writer, record);
   return seal(writer);

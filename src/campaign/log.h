@@ -66,6 +66,9 @@ class CampaignLog {
   /// removes them (outcomes are deterministic, so any copy is as good).
   void append(std::span<const ExperimentRecord> batch);
 
+  /// Makes room for `records` records in all.
+  void reserve(std::size_t records) { records_.reserve(records); }
+
   /// Removes duplicate experiment ids and sorts by id.
   void dedupe();
 

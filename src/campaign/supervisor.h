@@ -33,7 +33,10 @@
 //     re-earn their quarantine records.
 //
 // Single-threaded like the sandbox layer: construct, run(), and destroy
-// from one thread while any worker threads are idle.
+// from one thread.  The pool forks (and respawns) while other threads may
+// run -- the checkpoint runner's journal writer fsyncs the previous chunk's
+// frame during run() -- so workers touch only their own shared memory and
+// pipes (fi/sandbox.h).
 #pragma once
 
 #include <cstdint>
@@ -119,6 +122,11 @@ class CampaignSupervisor {
 
   /// Counters; `pool` is refreshed from the worker pool on every call.
   SupervisorStats stats() const;
+
+  /// Asks the workers to exit without waiting (fi::WorkerPool::
+  /// request_exit); the destructor reaps them.  A run() after it dispatches
+  /// nothing.
+  void request_exit() { pool_.request_exit(); }
 
   /// The underlying pool, exposed so tests can look up worker pids and
   /// kill or stop them externally.

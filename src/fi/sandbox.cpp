@@ -575,6 +575,7 @@ struct WorkerPool::Impl {
   WorkerPoolOptions options;
   WorkerPoolStats stats;
   std::vector<Slot> slots;
+  bool exiting = false;  // request_exit() ran: no dispatch, no respawn
   bool shut_down = false;
   // Pool-wide chunk-end signal: workers write, wait() reads.  Both ends are
   // non-blocking.
@@ -709,6 +710,7 @@ struct WorkerPool::Impl {
   }
 
   int worker_count() const noexcept {
+    if (exiting) return 0;
     int count = 0;
     for (const Slot& slot : slots) {
       if (slot.live) ++count;
@@ -738,7 +740,9 @@ struct WorkerPool::Impl {
   }
 
   int try_dispatch(std::span<const Injection> chunk) {
-    if (chunk.empty() || chunk.size() > options.chunk_capacity) return -1;
+    if (exiting || chunk.empty() || chunk.size() > options.chunk_capacity) {
+      return -1;
+    }
     for (std::size_t i = 0; i < slots.size(); ++i) {
       Slot& slot = slots[i];
       if (!slot.live || slot.busy) continue;
@@ -822,6 +826,7 @@ struct WorkerPool::Impl {
 
   std::vector<WorkerEvent> poll() {
     std::vector<WorkerEvent> events;
+    if (exiting) return events;  // exits are shutdown()'s to reap
     const auto now = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < slots.size(); ++i) {
       Slot& slot = slots[i];
@@ -933,10 +938,10 @@ struct WorkerPool::Impl {
     return events;
   }
 
-  void shutdown() {
-    if (shut_down) return;
-    shut_down = true;
-    // Ask politely: EOF on every command pipe.
+  void request_exit() {
+    if (exiting) return;
+    exiting = true;
+    // Ask politely: the sentinel, then EOF on every command pipe.
     for (Slot& slot : slots) {
       if (slot.command_write >= 0) {
         const std::uint32_t sentinel = kShutdownCommand;
@@ -945,6 +950,12 @@ struct WorkerPool::Impl {
         slot.command_write = -1;
       }
     }
+  }
+
+  void shutdown() {
+    if (shut_down) return;
+    shut_down = true;
+    request_exit();
     // Grace period, then SIGKILL stragglers.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
@@ -989,6 +1000,8 @@ std::int64_t WorkerPool::worker_pid(int slot) const noexcept {
   // pid == -1 already encodes "slot not live".
   return static_cast<std::int64_t>(s.pid.load(std::memory_order_relaxed));
 }
+
+void WorkerPool::request_exit() { impl_->request_exit(); }
 
 void WorkerPool::shutdown() { impl_->shutdown(); }
 
@@ -1044,6 +1057,8 @@ void WorkerPool::wait(std::uint32_t timeout_us) {
 }
 
 std::int64_t WorkerPool::worker_pid(int) const noexcept { return -1; }
+
+void WorkerPool::request_exit() {}
 
 void WorkerPool::shutdown() {}
 

@@ -25,9 +25,13 @@
 //     segfaults or hangs, so only feed well-behaved programs to the
 //     fallback (see SandboxOptions::allow_in_process_fallback).
 //
-// Call this from a single thread.  fork() is invoked from the calling
-// thread while any worker threads should be idle (the campaign layer runs
-// sandbox batches sequentially, never from inside a thread-pool task).
+// Call this from a single thread, never from inside a thread-pool task.
+// fork() is invoked from the calling thread while other threads may run --
+// a campaign journal's writer thread (campaign/checkpoint.h) writes and
+// fsyncs a frame while the next chunk runs.  A forked child therefore
+// touches nothing another thread may hold: it runs experiments and writes
+// only to its shared memory and pipes, never to the journal's file, its
+// hand-off slot or the telemetry sink, and leaves by _exit.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +129,8 @@ std::vector<ExperimentResult> run_injected_sandboxed(
 // and checkpoint integration on top of this class).
 //
 // Single-threaded, like the rest of this file: construct, dispatch, and
-// poll from one thread while any worker threads are idle.
+// poll from one thread.  Respawns fork while other threads may run (see
+// the top of this file); a worker uses only its own region and pipes.
 // ---------------------------------------------------------------------------
 
 struct WorkerPoolOptions {
@@ -259,8 +264,14 @@ class WorkerPool {
   /// is safe to call from another thread while the pool runs.
   std::int64_t worker_pid(int slot) const noexcept;
 
-  /// Asks every worker to exit (EOF on its command pipe), reaps them, and
-  /// SIGKILLs stragglers.  Idempotent; the destructor calls it.
+  /// Asks every worker to exit (EOF on its command pipe) without waiting
+  /// for them, so their exits overlap the caller's work.  From then on the
+  /// pool dispatches nothing, respawns nothing and reports no live worker;
+  /// shutdown() reaps.  Idempotent.
+  void request_exit();
+
+  /// request_exit(), then reaps every worker, SIGKILLing stragglers after
+  /// a 500 ms grace.  Idempotent; the destructor calls it.
   void shutdown();
 
   const WorkerPoolStats& stats() const noexcept;

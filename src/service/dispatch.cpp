@@ -554,7 +554,9 @@ DistributedRunResult ChunkDispatcher::run_job(
               .counter("checkpoint.experiments")
               .add(fresh.size());
         }
+        // Report only what is durable: wait for the frame first.
         journal.append(fresh);
+        journal.sync();
         report(fresh, journal.size());
       }
       {

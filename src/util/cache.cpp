@@ -1,5 +1,7 @@
 #include "util/cache.h"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,18 +19,6 @@ constexpr std::uint64_t kMagic = 0x4654422d43414348ull;  // "FTB-CACH"
 constexpr std::uint64_t kVersion = 1;
 
 }  // namespace
-
-void BinaryWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void BinaryWriter::put_f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
 
 void BinaryWriter::put_bytes(const std::vector<std::uint8_t>& v) {
   put_u64(v.size());
@@ -108,18 +98,55 @@ std::uint64_t fnv1a(const std::string& text) noexcept {
   return hash;
 }
 
+namespace {
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTable[0] is
+/// the classic byte table, kCrcTable[k][b] the CRC of byte b followed by k
+/// zero bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_table() {
+  std::array<std::array<std::uint32_t, 256>, 8> table{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t crc = b;
+    for (int i = 0; i < 8; ++i) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+    table[0][b] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      const std::uint32_t prev = table[k - 1][b];
+      table[k][b] = (prev >> 8) ^ table[0][prev & 0xffu];
+    }
+  }
+  return table;
+}
+
+constexpr auto kCrcTable = make_crc_table();
+
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+}  // namespace
+
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
-  // Nibble-wise table: 16 entries, computed once, no 1 KB static table.
-  static constexpr std::uint32_t kTable[16] = {
-      0x00000000u, 0x1db71064u, 0x3b6e20c8u, 0x26d930acu,
-      0x76dc4190u, 0x6b6b51f4u, 0x4db26158u, 0x5005713cu,
-      0xedb88320u, 0xf00f9344u, 0xd6d6a3e8u, 0xcb61b38cu,
-      0x9b64c2b0u, 0x86d3d2d4u, 0xa00ae278u, 0xbdbdf21cu};
   std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
-    crc = (crc >> 4) ^ kTable[crc & 0x0f];
-    crc = (crc >> 4) ^ kTable[crc & 0x0f];
+  // Eight bytes per step, each through its own table.
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = kCrcTable[7][lo & 0xffu] ^ kCrcTable[6][(lo >> 8) & 0xffu] ^
+          kCrcTable[5][(lo >> 16) & 0xffu] ^ kCrcTable[4][lo >> 24] ^
+          kCrcTable[3][hi & 0xffu] ^ kCrcTable[2][(hi >> 8) & 0xffu] ^
+          kCrcTable[1][(hi >> 16) & 0xffu] ^ kCrcTable[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ kCrcTable[0][(crc ^ *data) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }

@@ -5,7 +5,9 @@
 // ".ftb_cache"); set FTB_CACHE_DIR=off to disable caching entirely.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,8 +17,20 @@ namespace ftb::util {
 /// Append-only little-endian binary encoder.
 class BinaryWriter {
  public:
-  void put_u64(std::uint64_t v);
-  void put_f64(double v);
+  /// Reserves room for `bytes` more bytes; encoders that know their size
+  /// call it once up front.
+  void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+  /// One 8-byte append of the little-endian bytes; inline, because the
+  /// journal encoders call it for every word.
+  void put_u64(std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap64(v);
+    }
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(v));
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
+  }
+  void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
   void put_bytes(const std::vector<std::uint8_t>& v);
   void put_f64_vec(const std::vector<double>& v);
   void put_string(const std::string& s);
@@ -54,9 +68,10 @@ class BinaryReader {
 /// FNV-1a of a string; used to derive cache file names from config keys.
 std::uint64_t fnv1a(const std::string& text) noexcept;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte range; used to
-/// guard persistent journals (campaign logs) against torn or bit-rotted
-/// writes.  crc32(...) of an empty range is 0.
+/// CRC-32 (IEEE 802.3 polynomial, reflected; zlib's crc32) over a byte
+/// range, slicing by 8 bytes; used to guard persistent journals (campaign
+/// logs), artifacts and wire frames against torn or bit-rotted bytes.
+/// crc32(...) of an empty range is 0.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept;
 
 /// The active cache directory, or empty if caching is disabled.

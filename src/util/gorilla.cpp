@@ -137,6 +137,9 @@ double GorillaCodec::Decoder::next() {
     if (leading_ + meaningful_ > 64) {
       throw std::runtime_error("GorillaCodec::Decoder: corrupt window header");
     }
+  } else if (leading_ < 0) {
+    // A reuse before any header names no window to reuse.
+    throw std::runtime_error("GorillaCodec::Decoder: corrupt window header");
   }
   const std::uint64_t significant =
       reader_.get(meaningful_);

@@ -137,5 +137,16 @@ TEST(Gorilla, CorruptHeaderThrowsNotCrashes) {
   SUCCEED();
 }
 
+TEST(Gorilla, WindowReuseBeforeAnyHeaderThrows) {
+  // A first value, then control bits 1 (changed) and 0 (reuse the window),
+  // which no header has set: the decoder must refuse the stream.
+  BitWriter writer;
+  writer.put(0x3ff0000000000000ull, 64);  // 1.0
+  writer.put(0b10, 2);
+  writer.put(0, 14);
+  const std::vector<std::uint8_t> bytes = writer.finish();
+  EXPECT_THROW((void)GorillaCodec::decompress(bytes, 2), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace ftb::util

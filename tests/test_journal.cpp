@@ -4,19 +4,26 @@
 // its offset, v2/v3 journals are upgraded in place, every executor leaves the
 // same finished journal, flushes write O(chunk) bytes, and no single-byte
 // corruption of a v4 journal loads a record the original did not hold.
+// Frames are written behind: every report sees its own chunk's frame last
+// with nothing in flight, and a failed frame, an executor failure or a
+// drain leaves a journal that resumes to the undisturbed bytes.
 #include "campaign/checkpoint.h"
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "campaign/sampler.h"
+#include "chaos/chaos.h"
+#include "kernels/hazard.h"
 #include "kernels/registry.h"
 #include "service/dispatch.h"
 #include "telemetry/events.h"
@@ -63,6 +70,20 @@ bool same_record(const ExperimentRecord& a, const ExperimentRecord& b) {
              std::bit_cast<std::uint64_t>(b.result.output_error) &&
          a.result.crash_site == b.result.crash_site &&
          a.result.detector_fired == b.result.detector_fired;
+}
+
+/// Threads of this process, or -1 where /proc is unavailable.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int threads = -1;
+      status >> threads;
+      return threads;
+    }
+  }
+  return -1;
 }
 
 /// A v2 image of `records` (six words per record, no flags), as written
@@ -168,6 +189,205 @@ TEST(Journal, FreshRunAppendsOneFramePerChunkAndEndsAsTheImage) {
   }
   EXPECT_TRUE(finished == run.log.serialize());
   fs::remove(path);
+}
+
+TEST(Journal, EveryReportSeesItsOwnFrameLastWithNothingInFlight) {
+  Campaign c;
+  const std::string path = temp_path("report");
+  const std::size_t header =
+      encode_journal_header(c.program->config_key()).size();
+  for (const bool supervised : {false, true}) {
+    fs::remove(path);
+    CheckpointOptions options = c.options(path);
+    options.use_supervisor = supervised;
+    options.supervisor.pool.workers = 2;
+    std::uint64_t reports = 0;
+    std::uint64_t first_dispatched = 0;
+    options.on_progress = [&](const CheckpointProgress& progress) {
+      if (progress.chunk.empty()) return;
+      ++reports;
+      // The report describes its own chunk, not the one that ran after it.
+      EXPECT_EQ(progress.executed, 10 * reports);
+      EXPECT_EQ(progress.logged, 10 * reports);
+      ASSERT_EQ(progress.supervisor != nullptr, supervised);
+      if (supervised) {
+        if (reports == 1) {
+          first_dispatched = progress.supervisor->chunks_dispatched;
+        }
+        EXPECT_EQ(progress.supervisor->chunks_dispatched,
+                  reports * first_dispatched);
+      }
+      // The file ends with this chunk's frame...
+      const std::string bytes = read_file(path);
+      const std::string frame = encode_journal_frame(progress.chunk);
+      EXPECT_EQ(bytes.size(), header + reports * frame.size());
+      EXPECT_TRUE(bytes.ends_with(frame)) << "report " << reports;
+      // ...and no frame is in flight while the report runs.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      EXPECT_TRUE(read_file(path) == bytes) << "report " << reports;
+    };
+    CheckpointRunResult run;
+    (void)c.finish(options, &run);
+    EXPECT_EQ(reports, 4u) << "supervised " << supervised;
+    EXPECT_EQ(run.flushes, 5u);
+  }
+  fs::remove(path);
+}
+
+/// Disables chaos when it goes out of scope.
+struct ChaosOff {
+  ~ChaosOff() { chaos::disable(); }
+};
+
+TEST(Journal, AFailedFrameThrowsWithThePathAndNoReportNamesIt) {
+  Campaign c;
+  const std::string reference_path = temp_path("failed_reference");
+  fs::remove(reference_path);
+  const std::string reference = c.finish(c.options(reference_path));
+  const std::string path = temp_path("failed");
+  for (const bool fsync_fails : {true, false}) {
+    fs::remove(path);
+    CheckpointOptions options = c.options(path);
+    std::vector<ExperimentId> reported;
+    options.on_progress = [&](const CheckpointProgress& progress) {
+      for (const ExperimentRecord& record : progress.chunk) {
+        reported.push_back(record.id);
+      }
+      if (reported.size() != 10) return;
+      // The first report: every later fsync (or write) fails, starting with
+      // the next chunk's frame.
+      chaos::ChaosOptions chaos_options;
+      chaos_options.enabled = true;
+      (fsync_fails ? chaos_options.fsync_error : chaos_options.write_error) =
+          1.0;
+      chaos::configure(chaos_options);
+    };
+    {
+      const ChaosOff off;
+      try {
+        (void)run_campaign_checkpointed(*c.program, c.golden, c.ids, options);
+        ADD_FAILURE() << "a failed frame went unnoticed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+      }
+    }
+    // The failed frame was rolled back: what is on disk loads, nothing is
+    // torn, and it holds every reported record.
+    std::string error;
+    std::uint64_t torn = 0;
+    const auto log = CampaignLog::load(path, &error, &torn);
+    ASSERT_TRUE(log.has_value()) << error;
+    EXPECT_EQ(torn, 0u);
+    EXPECT_EQ(reported.size(), 10u) << "fsync fails " << fsync_fails;
+    const std::vector<ExperimentId> on_disk = log->ids();
+    for (ExperimentId id : reported) {
+      EXPECT_TRUE(std::binary_search(on_disk.begin(), on_disk.end(), id))
+          << "reported id " << id << " is not on disk";
+    }
+    CheckpointRunResult run;
+    EXPECT_TRUE(c.finish(c.options(path), &run) == reference)
+        << "fsync fails " << fsync_fails;
+    EXPECT_EQ(run.skipped, log->size());
+  }
+  fs::remove(path);
+  fs::remove(reference_path);
+}
+
+TEST(Journal, AnExecutorFailureWithAFrameInFlightLeavesAResumableJournal) {
+  const kernels::HazardProgram program{kernels::HazardConfig{}};
+  const fi::GoldenRun golden = fi::run_golden(program);
+  const std::uint64_t sites = golden.trace.size();
+  ASSERT_LT(program.offset_site(1), sites - 4);
+  // Owed ids run in descending order: four benign low-mantissa flips at the
+  // top sites make the first chunk, and the second holds a flip that
+  // SIGSEGVs its worker.
+  std::vector<ExperimentId> ids;
+  for (std::uint64_t site = sites - 4; site < sites; ++site) {
+    ids.push_back(encode(site, 0));
+  }
+  ids.push_back(encode(program.offset_site(1), 61));
+  for (std::uint64_t site = 0; site < 3; ++site) ids.push_back(encode(site, 0));
+
+  util::ThreadPool pool(1);
+  const auto make_options = [&](const std::string& path, bool respawns) {
+    CheckpointOptions options;
+    options.path = path;
+    options.flush_every = 4;
+    options.pool = &pool;
+    options.use_supervisor = true;
+    options.supervisor.pool.workers = 1;
+    options.supervisor.quarantine_after = 2;
+    options.supervisor.allow_in_process_fallback = false;
+    if (!respawns) {
+      // The dead worker is not replaced and nothing may run in process:
+      // the supervisor throws while the first chunk's frame is written.
+      options.supervisor.pool.spawn_retry.max_retries = 0;
+      options.supervisor.pool.simulate_respawn_failures = 1000;
+    }
+    return options;
+  };
+  const std::string reference_path = temp_path("executor_failure_reference");
+  fs::remove(reference_path);
+  (void)run_campaign_checkpointed(program, golden, ids,
+                                  make_options(reference_path, true));
+  const std::string reference = read_file(reference_path);
+
+  const std::string path = temp_path("executor_failure");
+  fs::remove(path);
+  const int threads = thread_count();
+  EXPECT_THROW((void)run_campaign_checkpointed(program, golden, ids,
+                                               make_options(path, false)),
+               std::runtime_error);
+  if (threads > 0) {
+    EXPECT_EQ(thread_count(), threads) << "the journal writer outlived the run";
+  }
+  std::string error;
+  const auto log = CampaignLog::load(path, &error);
+  ASSERT_TRUE(log.has_value()) << error;
+  EXPECT_EQ(log->size(), 4u);
+
+  const CheckpointRunResult run =
+      run_campaign_checkpointed(program, golden, ids, make_options(path, true));
+  EXPECT_EQ(run.skipped, 4u);
+  EXPECT_TRUE(read_file(path) == reference);
+  fs::remove(path);
+  fs::remove(reference_path);
+}
+
+TEST(Journal, ShouldStopInsideAReportDrainsWithEveryJournaledRecordReported) {
+  Campaign c;
+  const std::string reference_path = temp_path("drain_reference");
+  fs::remove(reference_path);
+  const std::string reference = c.finish(c.options(reference_path));
+  const std::string path = temp_path("drain");
+  for (const std::size_t stop_at : {1u, 2u}) {
+    fs::remove(path);
+    CheckpointOptions options = c.options(path);
+    bool stop = false;
+    std::size_t reports = 0;
+    std::vector<ExperimentId> reported;
+    options.should_stop = [&] { return stop; };
+    options.on_progress = [&](const CheckpointProgress& progress) {
+      if (progress.chunk.empty()) return;
+      for (const ExperimentRecord& record : progress.chunk) {
+        reported.push_back(record.id);
+      }
+      if (++reports == stop_at) stop = true;
+    };
+    CheckpointRunResult run;
+    (void)c.finish(options, &run);
+    EXPECT_TRUE(run.stopped);
+    // Reports run one chunk behind: the chunk after the stopping report
+    // had already run, and is journaled and reported before the drain.
+    EXPECT_EQ(run.log.size(), 10 * (stop_at + 1));
+    std::sort(reported.begin(), reported.end());
+    EXPECT_EQ(reported, run.log.ids()) << "stop at report " << stop_at;
+    EXPECT_TRUE(c.finish(c.options(path)) == reference)
+        << "stop at report " << stop_at;
+  }
+  fs::remove(path);
+  fs::remove(reference_path);
 }
 
 TEST(Journal, TornTailAtEveryOffsetResumesToTheUndisturbedBytes) {
