@@ -17,14 +17,39 @@ namespace {
 /// skips those before its golden state (fi::start_state) and runs the rest
 /// of the trace (a run that traps stops earlier; it counts whole).
 std::pair<std::uint64_t, std::uint64_t> count_steps(
-    const fi::GoldenRun& golden, std::span<const ExperimentId> chunk) {
+    const fi::GoldenRun& golden, std::span<const ExperimentRecord> chunk) {
   std::uint64_t skipped = 0;
-  for (ExperimentId id : chunk) {
-    const fi::GoldenState* start = fi::start_state(golden, injection_of(id));
+  for (const ExperimentRecord& record : chunk) {
+    const fi::GoldenState* start =
+        fi::start_state(golden, injection_of(record.id));
     if (start != nullptr) skipped += start->index;
   }
   return {chunk.size() * golden.trace.size() - skipped, skipped};
 }
+
+/// A local executor: `run` runs the next chunk, in order, on the calling
+/// thread.
+class LocalExecutor final : public ChunkExecutor {
+ public:
+  using Run = std::function<ExecutedChunk(std::span<const ExperimentId>)>;
+
+  LocalExecutor(std::span<const std::span<const ExperimentId>> chunks, Run run)
+      : chunks_(chunks), run_(std::move(run)) {}
+
+  std::optional<ExecutedChunk> next(
+      const std::function<bool()>& should_stop) override {
+    if (next_ == chunks_.size() || (should_stop && should_stop())) {
+      return std::nullopt;
+    }
+    return run_(chunks_[next_++]);
+  }
+  void finish(CheckpointRunResult&) override {}
+
+ private:
+  std::span<const std::span<const ExperimentId>> chunks_;
+  Run run_;
+  std::size_t next_ = 0;
+};
 
 }  // namespace
 
@@ -210,8 +235,9 @@ CheckpointRunResult run_campaign_checkpointed(
   // or the supervised pool without snapshots.  Descending site order lets
   // the sites above the chunk in flight settle first.
   std::optional<FirstPass> first;
-  if (options.use_supervisor ? !options.supervisor.pool.use_snapshots
-                             : !options.use_sandbox) {
+  if (!options.executor && (options.use_supervisor
+                                ? !options.supervisor.pool.use_snapshots
+                                : !options.use_sandbox)) {
     std::sort(remaining.begin(), remaining.end(), std::greater<>());
     first.emplace(golden, journal.records(), remaining,
                   options.use_supervisor
@@ -220,10 +246,20 @@ CheckpointRunResult run_campaign_checkpointed(
                       : pool.thread_count());
   }
 
-  // One supervisor for the whole invocation: the worker pool is forked
-  // once, and the quarantine ledger accumulates across chunks.
+  std::vector<std::span<const ExperimentId>> chunks;
+  for (std::size_t begin = 0; begin < remaining.size(); begin += flush_every) {
+    chunks.emplace_back(remaining.data() + begin,
+                        std::min(flush_every, remaining.size() - begin));
+  }
+  // The executor: one supervisor for the whole invocation (the worker pool
+  // is forked once, and the quarantine ledger accumulates across chunks),
+  // the per-batch sandbox, or the in-process pool.
+  const ChunkPlan plan{program, golden, options, chunks, journal};
   std::optional<CampaignSupervisor> supervisor;
-  if (options.use_supervisor) {
+  std::unique_ptr<ChunkExecutor> executor;
+  if (options.executor) {
+    executor = options.executor(plan);
+  } else if (options.use_supervisor) {
     SupervisorOptions supervisor_options = options.supervisor;
     if (supervisor_options.telemetry == nullptr) {
       supervisor_options.telemetry = options.telemetry;
@@ -247,6 +283,52 @@ CheckpointRunResult run_campaign_checkpointed(
       }
     }
     supervisor.emplace(program, golden, supervisor_options);
+    executor = std::make_unique<LocalExecutor>(
+        chunks, [&](std::span<const ExperimentId> chunk) {
+          const SupervisorStats before = supervisor->stats();
+          ExecutedChunk done{supervisor->run(chunk)};
+          const SupervisorStats& after =
+              done.stats.emplace(supervisor->stats());
+          // The chunk's partials are kept unless a worker died or hung, or
+          // the in-process fallback ran experiments that did not fold.
+          done.keep =
+              after.worker_deaths == before.worker_deaths &&
+              after.worker_hangs == before.worker_hangs &&
+              after.fallback_experiments == before.fallback_experiments;
+          return done;
+        });
+  } else if (options.use_sandbox) {
+    // timeout_ms = 0 would disable the watchdog and let one runaway flip
+    // hang the whole campaign, so an unattended checkpointed run
+    // substitutes a fallback deadline (derived from the supervisor
+    // heartbeat when one is configured).
+    fi::SandboxOptions sandbox = options.sandbox;
+    if (sandbox.timeout_ms == 0) {
+      sandbox.timeout_ms = options.supervisor.pool.heartbeat_timeout_ms != 0
+                               ? options.supervisor.pool.heartbeat_timeout_ms
+                               : kFallbackDeadlineMs;
+    }
+    executor = std::make_unique<LocalExecutor>(
+        chunks, [&, sandbox](std::span<const ExperimentId> chunk) {
+          // The sandbox resets its stats output per batch, so the chunks'
+          // stats are added up by hand.
+          fi::SandboxStats stats;
+          ExecutedChunk done{run_experiments_sandboxed(program, golden, chunk,
+                                                       sandbox, &stats)};
+          fi::SandboxStats& total = result.sandbox_stats;
+          total.children_spawned += stats.children_spawned;
+          total.signal_deaths += stats.signal_deaths;
+          total.watchdog_kills += stats.watchdog_kills;
+          total.abnormal_exits += stats.abnormal_exits;
+          total.spawn_retries += stats.spawn_retries;
+          total.fallback_experiments += stats.fallback_experiments;
+          return done;
+        });
+  } else {
+    executor = std::make_unique<LocalExecutor>(
+        chunks, [&](std::span<const ExperimentId> chunk) {
+          return ExecutedChunk{first->run_chunk(program, golden, chunk, pool)};
+        });
   }
 
   // What a report says about a chunk, taken when its frame is handed over
@@ -256,7 +338,7 @@ CheckpointRunResult run_campaign_checkpointed(
     std::vector<ExperimentRecord> records;
     std::uint64_t executed = 0;
     std::size_t logged = 0;
-    SupervisorStats supervisor;
+    std::optional<SupervisorStats> supervisor;
   };
   const auto report = [&](const ChunkReport& chunk) {
     if (!options.on_progress) return;
@@ -265,7 +347,7 @@ CheckpointRunResult run_campaign_checkpointed(
     progress.total = remaining.size();
     progress.logged = chunk.logged;
     progress.chunk = chunk.records;
-    if (supervisor) progress.supervisor = &chunk.supervisor;
+    if (chunk.supervisor) progress.supervisor = &*chunk.supervisor;
     options.on_progress(progress);
   };
   std::optional<ChunkReport> handed;
@@ -273,77 +355,46 @@ CheckpointRunResult run_campaign_checkpointed(
     if (handed) report(*handed);
   };
 
-  for (std::size_t begin = 0; begin < remaining.size(); begin += flush_every) {
-    if (options.should_stop && options.should_stop()) {
-      result.stopped = true;
-      break;
-    }
-    const std::size_t end = std::min(begin + flush_every, remaining.size());
-    const std::span<const ExperimentId> chunk(remaining.data() + begin,
-                                              end - begin);
-    telemetry::SpanScope chunk_span(options.telemetry, "checkpoint.chunk",
-                                    "checkpoint");
-    chunk_span.arg("experiments", static_cast<double>(chunk.size()));
-    std::vector<ExperimentRecord> batch;
-    SupervisorStats after;  // on the supervisor path
-    // The chunk's partials are kept unless a worker died or hung, or the
-    // in-process fallback ran experiments that did not fold.
-    bool keep = true;
-    if (supervisor) {
-      const SupervisorStats before = supervisor->stats();
-      batch = supervisor->run(chunk);
-      after = supervisor->stats();
-      keep = after.worker_deaths == before.worker_deaths &&
-             after.worker_hangs == before.worker_hangs &&
-             after.fallback_experiments == before.fallback_experiments;
-    } else if (options.use_sandbox) {
-      // run_injected_sandboxed resets its stats output per batch, so
-      // accumulate chunk stats by hand.  timeout_ms = 0 would disable the
-      // watchdog and let one runaway flip hang the whole campaign, so an
-      // unattended checkpointed run substitutes a fallback deadline
-      // (derived from the supervisor heartbeat when one is configured).
-      fi::SandboxOptions sandbox_options = options.sandbox;
-      if (sandbox_options.timeout_ms == 0) {
-        sandbox_options.timeout_ms =
-            options.supervisor.pool.heartbeat_timeout_ms != 0
-                ? options.supervisor.pool.heartbeat_timeout_ms
-                : kFallbackDeadlineMs;
-      }
-      fi::SandboxStats chunk_stats;
-      batch = run_experiments_sandboxed(program, golden, chunk, sandbox_options,
-                                        &chunk_stats);
-      result.sandbox_stats.children_spawned += chunk_stats.children_spawned;
-      result.sandbox_stats.signal_deaths += chunk_stats.signal_deaths;
-      result.sandbox_stats.watchdog_kills += chunk_stats.watchdog_kills;
-      result.sandbox_stats.abnormal_exits += chunk_stats.abnormal_exits;
-      result.sandbox_stats.spawn_retries += chunk_stats.spawn_retries;
-      result.sandbox_stats.fallback_experiments +=
-          chunk_stats.fallback_experiments;
-    } else {
-      batch = first->run_chunk(program, golden, chunk, pool);
-    }
-    if (first) first->settle(batch, keep);
-    result.executed += batch.size();
-    if (telemetry::active(options.telemetry)) {
-      telemetry::MetricsRegistry& metrics = options.telemetry->metrics();
-      metrics.counter("checkpoint.experiments").add(batch.size());
+  std::size_t finished = 0;
+  for (;;) {
+    telemetry::Telemetry* const traced =
+        telemetry::active(options.telemetry) ? options.telemetry : nullptr;
+    const std::uint64_t start_ns = traced ? traced->now_ns() : 0;
+    std::optional<ExecutedChunk> chunk = executor->next(options.should_stop);
+    if (!chunk) break;
+    ++finished;
+    if (first) first->settle(chunk->records, chunk->keep);
+    result.executed += chunk->records.size();
+    std::vector<std::pair<std::string, double>> args;
+    if (traced) {
+      args.emplace_back("experiments",
+                        static_cast<double>(chunk->records.size()));
+      telemetry::MetricsRegistry& metrics = traced->metrics();
+      metrics.counter("checkpoint.experiments").add(chunk->records.size());
       // The executors that fold are the ones that fast-forward.
       if (first) {
-        const auto [run, skipped] = count_steps(golden, chunk);
-        chunk_span.arg("steps_run", static_cast<double>(run));
-        chunk_span.arg("steps_skipped", static_cast<double>(skipped));
+        const auto [run, skipped] = count_steps(golden, chunk->records);
+        args.emplace_back("steps_run", static_cast<double>(run));
+        args.emplace_back("steps_skipped", static_cast<double>(skipped));
         metrics.counter("checkpoint.steps_run").add(run);
         metrics.counter("checkpoint.steps_skipped").add(skipped);
       }
     }
     // Frame k-1 is durable and chunk k-1 reported before frame k can reach
     // the file; the writer then syncs frame k while chunk k+1 runs.
-    ChunkReport next{std::move(batch), result.executed, 0, after};
+    ChunkReport next{std::move(chunk->records), result.executed, 0,
+                     std::move(chunk->stats)};
     journal.append(next.records, report_handed);
     next.logged = journal.size();
     handed = std::move(next);
+    if (traced) {
+      traced->record_span("checkpoint.chunk", "checkpoint", start_ns,
+                          traced->now_ns() - start_ns, std::move(args));
+    }
   }
+  result.stopped = finished < chunks.size();
 
+  executor->finish(result);
   // The workers exit while the journal compacts; the supervisor reaps them
   // on the way out.
   if (supervisor) {
@@ -353,7 +404,9 @@ CheckpointRunResult run_campaign_checkpointed(
   // Complete or drained, the journal ends as the deduped v3 image.
   result.log = journal.finish(report_handed);
   result.flushes = journal.flushes();
-  report({{}, result.executed, result.log.size(), result.supervisor_stats});
+  std::optional<SupervisorStats> stats;
+  if (options.executor || supervisor) stats = result.supervisor_stats;
+  report({{}, result.executed, result.log.size(), stats});
   if (first) result.evidence = first->finish();
   return result;
 }

@@ -22,6 +22,12 @@
 // -- byte-identical to what an uninterrupted run would have produced
 // (experiment outcomes are deterministic).
 //
+// This is the only chunk -> journal loop.  What runs the chunks sits behind
+// one seam, ChunkExecutor: the in-process pool, the per-batch sandbox and
+// the supervised pool run the next chunk on the calling thread, and
+// service::ChunkDispatcher leases chunks to remote workers and hands them
+// back as they finish.  The loop journals whatever chunk comes back.
+//
 // Where the executor can -- the in-process pool, and the supervised pool's
 // forked workers -- the run also folds the boundary evidence of its masked
 // experiments as they finish (campaign/evidence.h) and returns it, so
@@ -32,7 +38,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -52,12 +60,54 @@
 
 namespace ftb::campaign {
 
+struct CheckpointRunResult;
+struct ChunkPlan;
+
+/// One chunk a ChunkExecutor finished.
+struct ExecutedChunk {
+  std::vector<ExperimentRecord> records;
+  /// Whether the chunk's first-pass partials are kept: false when a worker
+  /// died or hung in it, or the in-process fallback ran part of it.
+  bool keep = true;
+  /// What the chunk's report shows as CheckpointProgress::supervisor; set
+  /// by the supervised executors.
+  std::optional<SupervisorStats> stats = std::nullopt;
+};
+
+/// What runs the chunks of one run_campaign_checkpointed invocation.  The
+/// runner builds one executor per invocation over the owed ids, split by
+/// flush_every (ChunkPlan::chunks), and pulls finished chunks from it one
+/// at a time on the calling thread.
+class ChunkExecutor {
+ public:
+  ChunkExecutor() = default;
+  virtual ~ChunkExecutor() = default;
+  ChunkExecutor(const ChunkExecutor&) = delete;
+  ChunkExecutor& operator=(const ChunkExecutor&) = delete;
+
+  /// The next finished chunk, in any order.  std::nullopt once every chunk
+  /// has been returned, or once `should_stop` (polled before more work
+  /// starts; may be empty) is true and every chunk that had finished has
+  /// been returned.
+  virtual std::optional<ExecutedChunk> next(
+      const std::function<bool()>& should_stop) = 0;
+
+  /// Called once after the last chunk, before the journal compacts: ends
+  /// the executor's work (a supervisor's workers are asked to exit; its
+  /// destructor reaps them) and records its stats in `result`.
+  virtual void finish(CheckpointRunResult& result) = 0;
+};
+
+/// Builds the executor of one invocation (CheckpointOptions::executor).
+using ChunkExecutorFactory =
+    std::function<std::unique_ptr<ChunkExecutor>(const ChunkPlan&)>;
+
 /// Snapshot handed to CheckpointOptions::on_progress once a chunk's frame
 /// is durable.  It describes that chunk: `chunk` holds its records (empty
 /// for the final compaction), `executed` and `logged` are the counts right
-/// after it, and `supervisor` -- non-null only on the supervisor path --
-/// points at a copy of the stats taken when it finished, valid for the
-/// duration of the callback.
+/// after it, and `supervisor` -- non-null on the supervisor path and with
+/// CheckpointOptions::executor -- points at a copy of the stats taken when
+/// it finished, valid for the duration of the callback.
 struct CheckpointProgress {
   std::uint64_t executed = 0;  ///< experiments run so far this invocation
   std::uint64_t total = 0;     ///< experiments owed this invocation
@@ -88,6 +138,12 @@ struct CheckpointOptions {
   SupervisorOptions supervisor;
   /// Thread pool for the non-sandbox path; util::default_pool() when null.
   util::ThreadPool* pool = nullptr;
+  /// Builds each invocation's executor in place of the local one that
+  /// use_supervisor, use_sandbox and pool select; ftb_served sets it to
+  /// service::ChunkDispatcher's while remote workers are connected.  Its
+  /// chunks run in the order of `ids` and nothing is folded: every masked
+  /// record is replayed.
+  ChunkExecutorFactory executor;
 
   /// Optional telemetry sink (telemetry/events.h): checkpoint.chunk and
   /// checkpoint.flush spans plus checkpoint.* counters; forwarded to the
@@ -111,8 +167,7 @@ struct CheckpointOptions {
   std::function<bool()> should_stop;
 };
 
-/// The append-only journal behind both chunk loops: this runner and
-/// service::ChunkDispatcher::run_job.
+/// The append-only journal behind run_campaign_checkpointed.
 ///
 ///   * Open: an existing file is loaded in any format version (a torn last
 ///     v4 frame is dropped and counted) and its config key checked; then it
@@ -161,7 +216,8 @@ class CampaignJournal {
   std::vector<ExperimentId> owed(std::span<const ExperimentId> ids) const;
 
   /// Marks `id` as journaled; false if the journal already held or claimed
-  /// it.  The dispatcher's guard against merging an experiment twice.
+  /// it.  An executor that may return an id twice (the dispatcher's) claims
+  /// every record before returning it.
   bool claim(ExperimentId id) { return done_.insert(id).second; }
 
   /// Encodes `batch` as one frame and hands it to the writer thread.  One
@@ -225,13 +281,25 @@ struct CheckpointRunResult {
   std::uint64_t torn_frames = 0;  ///< torn journal frames dropped at open
   bool stopped = false;         ///< should_stop fired; journal is resumable
   fi::SandboxStats sandbox_stats;  ///< populated when use_sandbox
-  SupervisorStats supervisor_stats;  ///< populated when use_supervisor
+  SupervisorStats supervisor_stats;  ///< populated when use_supervisor,
+                                     ///< and by CheckpointOptions::executor
   /// Boundary evidence of the masked runs this invocation folded; pass it
   /// to fold_log_evidence / boundary_from_log with `log`.  Records loaded at
   /// open, and those run by the per-batch sandbox, the snapshot server, the
-  /// in-process fallback or in a chunk with a worker death or hang, are not
-  /// covered and get replayed.
+  /// in-process fallback, CheckpointOptions::executor or in a chunk with a
+  /// worker death or hang, are not covered and get replayed.
   FirstPassEvidence evidence;
+};
+
+/// What an invocation hands CheckpointOptions::executor; everything it
+/// refers to outlives the executor.
+struct ChunkPlan {
+  const fi::Program& program;
+  const fi::GoldenRun& golden;
+  const CheckpointOptions& options;
+  /// The owed ids split by flush_every, in the order they run.
+  std::span<const std::span<const ExperimentId>> chunks;
+  CampaignJournal& journal;
 };
 
 /// Runs (or resumes) the listed experiments with a journal append after

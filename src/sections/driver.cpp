@@ -138,40 +138,32 @@ SectionCampaignResult run_section_campaigns(
     const std::string path = journal_path(options, spec.name);
     discard_stale_journal(path, config_key, ids, options.telemetry);
 
-    SectionRunOutcome outcome;
-    if (options.section_runner) {
-      outcome = options.section_runner(spec, ids, path);
-    } else {
-      campaign::CheckpointOptions checkpoint;
-      checkpoint.path = path;
-      checkpoint.flush_every = options.flush_every;
-      checkpoint.use_supervisor = options.use_supervisor;
-      checkpoint.supervisor = options.supervisor;
-      checkpoint.pool = options.pool;
-      checkpoint.telemetry = options.telemetry;
-      checkpoint.should_stop = options.should_stop;
-      if (options.on_progress) {
-        checkpoint.on_progress =
-            [&](const campaign::CheckpointProgress& progress) {
-              options.on_progress(spec.name, progress);
-            };
-      }
-      campaign::CheckpointRunResult run =
-          campaign::run_campaign_checkpointed(program, golden, ids, checkpoint);
-      outcome.log = std::move(run.log);
-      outcome.executed = run.executed;
-      outcome.stopped = run.stopped;
-      outcome.evidence = std::move(run.evidence);
+    campaign::CheckpointOptions checkpoint;
+    checkpoint.path = path;
+    checkpoint.flush_every = options.flush_every;
+    checkpoint.use_supervisor = options.use_supervisor;
+    checkpoint.supervisor = options.supervisor;
+    checkpoint.pool = options.pool;
+    checkpoint.executor = options.executor;
+    checkpoint.telemetry = options.telemetry;
+    checkpoint.should_stop = options.should_stop;
+    if (options.on_progress) {
+      checkpoint.on_progress =
+          [&](const campaign::CheckpointProgress& progress) {
+            options.on_progress(spec.name, progress);
+          };
     }
-    result.executed += outcome.executed;
-    if (outcome.stopped) {
+    const campaign::CheckpointRunResult run =
+        campaign::run_campaign_checkpointed(program, golden, ids, checkpoint);
+    result.executed += run.executed;
+    if (run.stopped) {
       result.stopped = true;
       break;
     }
 
     result.artifact.sections.push_back(build_section_record(
-        program, golden, spec, outcome.log, options.stem + "." + spec.name,
-        options, &outcome.evidence));
+        program, golden, spec, run.log, options.stem + "." + spec.name,
+        options, &run.evidence));
     result.dirty.push_back(spec.name);
     if (telemetry::active(options.telemetry)) {
       options.telemetry->metrics().counter("sections.recomputed").add();

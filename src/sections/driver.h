@@ -2,13 +2,14 @@
 //
 // One invocation carves the golden run into sections, diffs their
 // fingerprints against a previous composed artifact, re-campaigns only the
-// dirty sections (each through the existing checkpointed runner, so a
-// section campaign inherits journal resume, supervisor isolation, snapshot
-// serving, and SIGTERM drain), splices clean sections' stored evidence
-// verbatim, and assembles a fresh ComposedArtifact.  Experiment outcomes
-// are deterministic, so an incremental splice serializes byte-identically
-// to a full recompose -- that is the invariant the CI compose job and the
-// chaos tests pin.
+// dirty sections (each through run_campaign_checkpointed, the one chunk ->
+// journal loop, so a section campaign inherits journal resume, supervisor
+// isolation, snapshot serving, SIGTERM drain and, through
+// SectionCampaignOptions::executor, ftb_served's remote workers), splices
+// clean sections' stored evidence verbatim, and assembles a fresh
+// ComposedArtifact.  Experiment outcomes are deterministic, so an
+// incremental splice serializes byte-identically to a full recompose --
+// that is the invariant the CI compose job and the chaos tests pin.
 #pragma once
 
 #include <cstdint>
@@ -26,24 +27,6 @@
 #include "util/thread_pool.h"
 
 namespace ftb::sections {
-
-/// What a SectionRunner hands back for one section's campaign.
-struct SectionRunOutcome {
-  campaign::CampaignLog log;
-  std::uint64_t executed = 0;
-  bool stopped = false;  // drained mid-section; journal is resumable
-  /// First-pass evidence of `log` (campaign/evidence.h); empty when the
-  /// runner does not fold, and then every masked record is replayed.
-  campaign::FirstPassEvidence evidence;
-};
-
-/// Hook that executes one dirty section's experiments, journaling into
-/// `journal_path` exactly like run_campaign_checkpointed (the service
-/// routes this through its ChunkDispatcher so sections fan out to
-/// ftb_workerd workers).  Unset -> the driver runs locally.
-using SectionRunner = std::function<SectionRunOutcome(
-    const SectionSpec& spec, std::span<const campaign::ExperimentId> ids,
-    const std::string& journal_path)>;
 
 struct SectionCampaignOptions {
   /// Directory for per-section journals ("<stem>.<section>.clog").
@@ -75,7 +58,9 @@ struct SectionCampaignOptions {
   std::function<void(const std::string& section,
                      const campaign::CheckpointProgress&)>
       on_progress;
-  SectionRunner section_runner;
+  /// Passed to each section's run as CheckpointOptions::executor;
+  /// ftb_served sets it so sections fan out to ftb_workerd workers.
+  campaign::ChunkExecutorFactory executor;
 };
 
 struct SectionCampaignResult {

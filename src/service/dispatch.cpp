@@ -88,10 +88,7 @@ void ChunkDispatcher::requeue_chunk_locked(Chunk& chunk, std::uint64_t loser) {
   chunk.state = Chunk::State::kPending;
   chunk.first_leased_ns = 0;
   chunk.speculated = false;
-  if (job_.active) {
-    ++job_.stats.chunks_requeued;
-    job_.stats.experiments_requeued += chunk.ids.size();
-  }
+  if (job_.active) job_.experiments_requeued += chunk.ids.size();
   count("dispatch.chunks_requeued");
 }
 
@@ -100,7 +97,6 @@ void ChunkDispatcher::expire_worker_locked(Worker& worker) {
   worker.leased.clear();
   for (const std::uint64_t seq : leased) {
     if (!job_.active || seq >= job_.chunks.size()) continue;
-    if (job_.active) ++job_.stats.leases_expired;
     count("dispatch.leases_expired");
     requeue_chunk_locked(job_.chunks[seq], worker.id);
   }
@@ -142,16 +138,9 @@ void ChunkDispatcher::dispatch_locked(std::uint64_t now_ns) {
         pick->first_leased_ns = now_ns;
       }
       worker.leased.push_back(pick->seq);
-      ++job_.stats.leases_granted;
       count("dispatch.leases_granted");
-      WorkerChunk msg;
-      msg.job = job_.id;
+      WorkerChunk msg = job_.lease;
       msg.chunk = pick->seq;
-      msg.kernel = job_.kernel;
-      msg.preset = job_.preset;
-      msg.pool_workers = job_.pool_workers;
-      msg.timeout_ms = job_.timeout_ms;
-      msg.quarantine_after = job_.quarantine_after;
       msg.ids = pick->ids;
       sender_(worker.conn, make_worker_chunk(msg));
     }
@@ -232,13 +221,11 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
         result.chunk >= job_.chunks.size()) {
       // The job drained, finished, or never existed; the work is wasted but
       // harmless -- nothing merges.
-      if (job_.active) ++job_.stats.stale_results;
       count("dispatch.stale_results");
       return;
     }
     Chunk& chunk = job_.chunks[result.chunk];
     if (!result.ok) {
-      ++job_.stats.chunk_failures;
       count("dispatch.chunk_failures");
       const std::uint64_t t = now();
       // Per-(worker,chunk) grudge: this worker must sit out a jittered
@@ -253,7 +240,6 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
             t + jittered_backoff_locked(worker->kills -
                                         options_.worker_quarantine_after +
                                         1);
-        ++job_.stats.worker_quarantines;
         count("dispatch.worker_quarantines");
       }
       requeue_chunk_locked(chunk, worker->id);
@@ -261,7 +247,6 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
     } else {
       if (chunk.state == Chunk::State::kDone) {
         // A speculative twin (or a SIGCONTed straggler) lost the race.
-        ++job_.stats.duplicate_results;
         count("dispatch.duplicate_results");
         return;
       }
@@ -279,7 +264,6 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
         }
       }
       if (!coherent) {
-        ++job_.stats.chunk_failures;
         count("dispatch.incoherent_results");
         requeue_chunk_locked(chunk, worker->id);
         dispatch_locked(now());
@@ -289,11 +273,10 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
         release_holders_locked(chunk);
         ++job_.done;
         job_.completed.push_back(result.chunk);
-        ++job_.stats.remote_chunks;
-        job_.stats.remote_worker_deaths += result.worker_deaths;
-        job_.stats.remote_worker_hangs += result.worker_hangs;
-        job_.stats.remote_requeued += result.requeued;
-        job_.stats.remote_quarantined += result.quarantined;
+        job_.remote_worker_deaths += result.worker_deaths;
+        job_.remote_worker_hangs += result.worker_hangs;
+        job_.remote_requeued += result.requeued;
+        job_.remote_quarantined += result.quarantined;
         count("dispatch.chunks_remote");
         worker->kills = 0;
         dispatch_locked(now());
@@ -314,7 +297,6 @@ void ChunkDispatcher::handle_disconnect(std::uint64_t conn) {
       workers_.erase(worker);
     }
     by_conn_.erase(it);
-    if (job_.active) ++job_.stats.workers_lost;
     count("dispatch.workers_lost");
     if (telemetry::active(options_.telemetry)) {
       options_.telemetry->metrics().gauge("dispatch.workers").set(
@@ -351,7 +333,6 @@ void ChunkDispatcher::on_tick() {
             chunk.first_leased_ns != 0 &&
             t - chunk.first_leased_ns > straggler_ns) {
           chunk.speculated = true;
-          ++job_.stats.chunks_speculated;
           count("dispatch.chunks_speculated");
           notify = true;  // the local runner may steal it
         }
@@ -371,8 +352,7 @@ std::size_t ChunkDispatcher::live_workers() const {
   return live;
 }
 
-std::optional<std::pair<std::uint64_t, std::vector<campaign::ExperimentId>>>
-ChunkDispatcher::claim_local_chunk() {
+std::optional<std::uint64_t> ChunkDispatcher::claim_local_chunk() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!job_.active) return std::nullopt;
   Chunk* pick = nullptr;
@@ -399,221 +379,183 @@ ChunkDispatcher::claim_local_chunk() {
     pick->state = Chunk::State::kLeased;
     pick->first_leased_ns = now();
   }
-  return std::make_pair(pick->seq, pick->ids);
+  return pick->seq;
 }
 
-bool ChunkDispatcher::complete_local_chunk(
+void ChunkDispatcher::complete_local_chunk(
     std::uint64_t seq, std::vector<campaign::ExperimentRecord> records) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!job_.active || seq >= job_.chunks.size()) return false;
+  if (!job_.active || seq >= job_.chunks.size()) return;
   Chunk& chunk = job_.chunks[seq];
   if (chunk.state == Chunk::State::kDone) {
-    ++job_.stats.duplicate_results;
     count("dispatch.duplicate_results");
-    return false;
+    return;
   }
   chunk.records = std::move(records);
   chunk.state = Chunk::State::kDone;
   release_holders_locked(chunk);
   ++job_.done;
   job_.completed.push_back(seq);
-  ++job_.stats.local_chunks;
   count("dispatch.chunks_local");
-  return true;
 }
 
-std::optional<std::pair<std::uint64_t, std::vector<campaign::ExperimentRecord>>>
-ChunkDispatcher::pop_completed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!job_.active || job_.completed.empty()) return std::nullopt;
-  const std::size_t index = job_.completed.front();
-  job_.completed.pop_front();
-  return std::make_pair(static_cast<std::uint64_t>(index),
-                        std::move(job_.chunks[index].records));
-}
-
-DistributedRunResult ChunkDispatcher::run_job(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    std::span<const campaign::ExperimentId> ids,
-    const DistributedJobOptions& options) {
-  const std::size_t flush_every =
-      std::max<std::size_t>(1, options.flush_every);
-
-  campaign::CampaignJournal journal(options.path, program.config_key(),
-                                    options.telemetry);
-  DistributedRunResult result;
-  result.resumed = journal.resumed();
-  result.torn_frames = journal.torn_frames();
-  const std::vector<campaign::ExperimentId> remaining = journal.owed(ids);
-  result.skipped = ids.size() - remaining.size();
-
-  telemetry::SpanScope span(options.telemetry, "dispatch.job", "dispatch");
-  span.arg("chunks", static_cast<double>(
-                         (remaining.size() + flush_every - 1) / flush_every));
-
-  std::function<void()> waker;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job_.active) {
-      throw std::logic_error("run_job: a distributed job is already active");
+/// One run_campaign_checkpointed invocation as the dispatcher's job.  The
+/// constructor activates the job and the destructor ends it, an exception
+/// included: outstanding remote leases die with the job, and late results
+/// become stale and never merge.
+class ChunkDispatcher::JobExecutor final : public campaign::ChunkExecutor {
+ public:
+  JobExecutor(ChunkDispatcher& dispatcher, const campaign::ChunkPlan& plan,
+              const std::string& kernel, const std::string& preset)
+      : d_(dispatcher),
+        plan_(plan),
+        span_(plan.options.telemetry, "dispatch.job", "dispatch") {
+    span_.arg("chunks", static_cast<double>(plan.chunks.size()));
+    const campaign::SupervisorOptions& supervisor = plan.options.supervisor;
+    std::function<void()> waker;
+    {
+      std::lock_guard<std::mutex> lock(d_.mutex_);
+      if (d_.job_.active) {
+        throw std::logic_error("a distributed job is already active");
+      }
+      Job& job = d_.job_ = Job{};
+      job.active = true;
+      job.id = ++d_.job_counter_;
+      job.lease.job = job.id;
+      job.lease.kernel = kernel;
+      job.lease.preset = preset;
+      job.lease.pool_workers =
+          static_cast<std::uint32_t>(supervisor.pool.workers);
+      job.lease.timeout_ms = supervisor.pool.heartbeat_timeout_ms;
+      job.lease.quarantine_after =
+          static_cast<std::uint32_t>(supervisor.quarantine_after);
+      for (const std::span<const campaign::ExperimentId> ids : plan.chunks) {
+        Chunk& chunk = job.chunks.emplace_back();
+        chunk.seq = job.chunks.size() - 1;
+        chunk.ids.assign(ids.begin(), ids.end());
+      }
+      // Grudges and kill streaks are job-scoped (chunk seqs restart at 0).
+      for (auto& [id, worker] : d_.workers_) {
+        worker.grudges.clear();
+        worker.kills = 0;
+      }
+      waker = d_.waker_;
     }
-    job_ = Job{};
-    job_.active = true;
-    job_.id = ++job_counter_;
-    job_.kernel = options.kernel;
-    job_.preset = options.preset;
-    job_.pool_workers = options.pool_workers;
-    job_.timeout_ms = options.timeout_ms;
-    job_.quarantine_after = options.quarantine_after;
-    for (std::size_t begin = 0; begin < remaining.size();
-         begin += flush_every) {
-      const std::size_t end =
-          std::min(begin + flush_every, remaining.size());
-      Chunk chunk;
-      chunk.seq = job_.chunks.size();
-      chunk.ids.assign(remaining.begin() + static_cast<std::ptrdiff_t>(begin),
-                       remaining.begin() + static_cast<std::ptrdiff_t>(end));
-      job_.chunks.push_back(std::move(chunk));
-    }
-    // Grudges and kill streaks are job-scoped (chunk seqs restart at 0).
-    for (auto& [id, worker] : workers_) {
-      worker.grudges.clear();
-      worker.kills = 0;
-    }
-    waker = waker_;
+    if (waker) waker();  // let the event loop start dispatching immediately
   }
-  if (waker) waker();  // let the event loop start dispatching immediately
 
-  // Local co-execution: the runner thread doubles as one more worker, so
-  // zero live workers degrades to exactly the local supervisor path.  The
-  // supervisor forks lazily -- a fully-remote job never pays for a pool.
-  std::optional<campaign::CampaignSupervisor> local;
-  const auto local_supervisor = [&]() -> campaign::CampaignSupervisor& {
-    if (!local) {
-      campaign::SupervisorOptions supervisor = options.supervisor;
-      if (supervisor.telemetry == nullptr) {
-        supervisor.telemetry = options.telemetry;
-      }
-      local.emplace(program, golden, supervisor);
-    }
-    return *local;
-  };
+  ~JobExecutor() override { end_job(); }
 
-  const auto combined_stats = [&] {
-    campaign::SupervisorStats stats;
-    if (local) stats = local->stats();
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.worker_deaths += job_.stats.remote_worker_deaths;
-    stats.worker_hangs += job_.stats.remote_worker_hangs;
-    stats.experiments_requeued +=
-        job_.stats.remote_requeued + job_.stats.experiments_requeued;
-    stats.quarantined += job_.stats.remote_quarantined;
-    return stats;
-  };
-
-  const auto report = [&](std::span<const campaign::ExperimentRecord> chunk,
-                          std::size_t logged) {
-    if (!options.on_progress) return;
-    campaign::CheckpointProgress progress;
-    progress.executed = result.executed;
-    progress.total = remaining.size();
-    progress.logged = logged;
-    progress.chunk = chunk;
-    const campaign::SupervisorStats stats_copy = combined_stats();
-    progress.supervisor = &stats_copy;
-    options.on_progress(progress);
-  };
-
-  bool stop_requested = false;
-  try {
+  std::optional<campaign::ExecutedChunk> next(
+      const std::function<bool()>& should_stop) override {
     for (;;) {
-      if (!stop_requested && options.should_stop && options.should_stop()) {
-        stop_requested = true;
-      }
-      // Merge every finished chunk -- even on the way out: completed work
-      // is durable work.
-      bool all_done = false;
-      while (auto completed = pop_completed()) {
-        std::vector<campaign::ExperimentRecord> fresh;
-        fresh.reserve(completed->second.size());
-        for (campaign::ExperimentRecord& record : completed->second) {
-          // Belt and braces: chunks are disjoint and have one winner, so
-          // this filter should never drop anything -- but a duplicate id
-          // must not reach the journal even if that invariant breaks.
-          if (journal.claim(record.id)) {
-            fresh.push_back(std::move(record));
-          }
-        }
-        if (fresh.size() != completed->second.size()) {
-          count("dispatch.duplicate_records",
-                completed->second.size() - fresh.size());
-        }
-        result.executed += fresh.size();
-        if (telemetry::active(options.telemetry)) {
-          options.telemetry->metrics()
-              .counter("checkpoint.experiments")
-              .add(fresh.size());
-        }
-        // Report only what is durable: wait for the frame first.
-        journal.append(fresh);
-        journal.sync();
-        report(fresh, journal.size());
-      }
+      std::optional<std::vector<campaign::ExperimentRecord>> completed;
       {
-        std::lock_guard<std::mutex> lock(mutex_);
-        all_done = job_.done == job_.chunks.size() && job_.completed.empty();
+        std::lock_guard<std::mutex> lock(d_.mutex_);
+        Job& job = d_.job_;
+        if (!job.completed.empty()) {
+          completed = std::move(job.chunks[job.completed.front()].records);
+          job.completed.pop_front();
+        } else if (job.done == job.chunks.size()) {
+          return std::nullopt;
+        }
       }
-      if (stop_requested || all_done) break;
-      if (auto claim = claim_local_chunk()) {
-        std::vector<campaign::ExperimentRecord> records =
-            local_supervisor().run(claim->second);
-        complete_local_chunk(claim->first, std::move(records));
-        continue;  // merge + flush on the next loop pass
+      // Finished chunks go first, even on the way out: completed work is
+      // durable work.
+      if (completed) return merge(std::move(*completed));
+      if (should_stop && should_stop()) return std::nullopt;
+      if (const auto seq = d_.claim_local_chunk()) {
+        d_.complete_local_chunk(*seq, local().run(plan_.chunks[*seq]));
+        continue;  // returned on the next pass
       }
       // Every chunk is leased remotely; wait for completions, requeues, or
       // the drain flag (the timeout bounds should_stop latency).
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock, std::chrono::milliseconds(50), [&] {
-        if (!job_.active) return true;
-        if (!job_.completed.empty()) return true;
-        if (job_.done == job_.chunks.size()) return true;
-        for (const Chunk& chunk : job_.chunks) {
-          if (chunk.state == Chunk::State::kPending) return true;
+      std::unique_lock<std::mutex> lock(d_.mutex_);
+      d_.cv_.wait_for(lock, std::chrono::milliseconds(50), [&] {
+        const Job& job = d_.job_;
+        if (!job.completed.empty() || job.done == job.chunks.size()) {
+          return true;
         }
-        return false;
+        return std::any_of(job.chunks.begin(), job.chunks.end(),
+                           [](const Chunk& chunk) {
+                             return chunk.state == Chunk::State::kPending;
+                           });
       });
     }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_.active = false;
-    job_.chunks.clear();
-    job_.completed.clear();
-    for (auto& [id, worker] : workers_) worker.leased.clear();
-    throw;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    result.stopped = job_.done != job_.chunks.size();
-    result.dispatch = job_.stats;
-    job_.active = false;
-    job_.chunks.clear();
-    job_.completed.clear();
-    // Outstanding remote leases die with the job; late results become
-    // stale_results and never merge.
-    for (auto& [id, worker] : workers_) worker.leased.clear();
+  void finish(campaign::CheckpointRunResult& result) override {
+    result.supervisor_stats = stats();
+    end_job();
+    if (local_) local_->request_exit();
   }
 
-  result.log = journal.finish();
-  result.flushes = journal.flushes();
-  report({}, result.log.size());
-  if (local) result.supervisor_stats = local->stats();
-  result.supervisor_stats.worker_deaths += result.dispatch.remote_worker_deaths;
-  result.supervisor_stats.worker_hangs += result.dispatch.remote_worker_hangs;
-  result.supervisor_stats.experiments_requeued +=
-      result.dispatch.remote_requeued + result.dispatch.experiments_requeued;
-  result.supervisor_stats.quarantined += result.dispatch.remote_quarantined;
-  return result;
+ private:
+  /// `records` as a finished chunk, each claimed in the journal.
+  campaign::ExecutedChunk merge(
+      std::vector<campaign::ExperimentRecord> records) {
+    campaign::ExecutedChunk chunk;
+    chunk.records.reserve(records.size());
+    for (campaign::ExperimentRecord& record : records) {
+      // Belt and braces: chunks are disjoint and have one winner, so this
+      // filter should never drop anything -- but a duplicate id must not
+      // reach the journal even if that invariant breaks.
+      if (plan_.journal.claim(record.id)) {
+        chunk.records.push_back(std::move(record));
+      }
+    }
+    d_.count("dispatch.duplicate_records",
+             records.size() - chunk.records.size());
+    chunk.stats = stats();
+    return chunk;
+  }
+
+  /// The local supervisor's stats plus what the remote workers reported.
+  campaign::SupervisorStats stats() const {
+    campaign::SupervisorStats stats;
+    if (local_) stats = local_->stats();
+    std::lock_guard<std::mutex> lock(d_.mutex_);
+    const Job& job = d_.job_;
+    stats.worker_deaths += job.remote_worker_deaths;
+    stats.worker_hangs += job.remote_worker_hangs;
+    stats.experiments_requeued +=
+        job.remote_requeued + job.experiments_requeued;
+    stats.quarantined += job.remote_quarantined;
+    return stats;
+  }
+
+  campaign::CampaignSupervisor& local() {
+    if (!local_) {
+      campaign::SupervisorOptions options = plan_.options.supervisor;
+      if (options.telemetry == nullptr) {
+        options.telemetry = plan_.options.telemetry;
+      }
+      local_.emplace(plan_.program, plan_.golden, options);
+    }
+    return *local_;
+  }
+
+  void end_job() noexcept {
+    std::lock_guard<std::mutex> lock(d_.mutex_);
+    d_.job_.active = false;
+    d_.job_.chunks.clear();
+    d_.job_.completed.clear();
+    for (auto& [id, worker] : d_.workers_) worker.leased.clear();
+  }
+
+  ChunkDispatcher& d_;
+  const campaign::ChunkPlan& plan_;
+  telemetry::SpanScope span_;
+  std::optional<campaign::CampaignSupervisor> local_;
+};
+
+campaign::ChunkExecutorFactory ChunkDispatcher::executor(std::string kernel,
+                                                         std::string preset) {
+  return [this, kernel = std::move(kernel), preset = std::move(preset)](
+             const campaign::ChunkPlan& plan)
+             -> std::unique_ptr<campaign::ChunkExecutor> {
+    return std::make_unique<JobExecutor>(*this, plan, kernel, preset);
+  };
 }
 
 }  // namespace ftb::service

@@ -1,9 +1,10 @@
 // Lease-based chunk dispatcher: the campaign plane's distributed executor.
 //
 // ftb_workerd daemons connect to ftb_served on the ordinary wire protocol
-// and register with WorkerHello.  While a campaign job is active the
-// dispatcher splits the job's remaining experiment ids into journal-sized
-// chunks and hands them to workers under a TTL lease:
+// and register with WorkerHello.  While workers are connected, a campaign
+// job's run_campaign_checkpointed takes its executor from executor() below
+// (campaign::ChunkExecutor): each invocation becomes one dispatcher job
+// whose journal-sized chunks are handed to workers under a TTL lease:
 //
 //   * leases are renewed only by an *advance* of the worker's monotonic
 //     WorkerHeartbeat counter -- a SIGSTOPped worker whose kernel keeps the
@@ -18,21 +19,21 @@
 //     per-(worker,chunk) grudge with jittered exponential backoff before it
 //     may be offered that chunk again; repeated kills quarantine the whole
 //     worker for a jittered backoff window (re-admission is automatic);
-//   * with zero live workers the runner degrades to plain local execution:
-//     the job-runner thread itself claims pending chunks and runs them
-//     through the same CampaignSupervisor the non-distributed path uses, so
-//     ftb_served alone still completes every job.
+//   * the job-runner thread co-executes: whenever a chunk is pending it
+//     claims it and runs it through a CampaignSupervisor it forks on first
+//     use, so a fully remote job forks no pool and zero live workers still
+//     completes every job.
 //
-// Results merge into the same append-only .clog journal as the local path
-// (campaign::CampaignJournal): one CRC-framed frame per completed chunk,
-// appended on the runner thread (file I/O never runs on the event loop).
+// The executor returns chunks in completion order, and the runner journals
+// each into the same append-only .clog journal as the local path (written
+// behind, one frame per chunk; file I/O never runs on the event loop).
 // Experiment outcomes are deterministic and the final compaction dedupes
 // and sorts by id, so the finished journal -- and the boundary inferred
 // from it -- is byte-identical to a local-only run no matter which worker
 // executed what, how many leases expired, or where a kill -9 landed.
 //
 // Threading: WorkerHello/Heartbeat/ChunkResult/disconnect/tick arrive on
-// the server's event-loop thread; run_job() executes on the job-runner
+// the server's event-loop thread; the executor runs on the job-runner
 // thread.  One mutex guards all shared state; the runner blocks on a
 // condition variable while remote chunks are in flight.
 #pragma once
@@ -42,7 +43,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -50,11 +50,7 @@
 #include <mutex>
 
 #include "campaign/checkpoint.h"
-#include "campaign/log.h"
 #include "campaign/sample_space.h"
-#include "campaign/supervisor.h"
-#include "fi/executor.h"
-#include "fi/program.h"
 #include "net/frame.h"
 #include "service/protocol.h"
 #include "telemetry/events.h"
@@ -91,56 +87,6 @@ struct DispatchOptions {
   std::function<std::uint64_t()> now_ns;
 };
 
-/// Per-job distributed-execution counters (dispatcher's view).
-struct DispatchStats {
-  std::uint64_t leases_granted = 0;
-  std::uint64_t leases_expired = 0;
-  std::uint64_t chunks_requeued = 0;     ///< chunk-level requeues (expiry/kill)
-  std::uint64_t chunks_speculated = 0;   ///< straggler re-dispatches
-  std::uint64_t experiments_requeued = 0;///< ids put back by those requeues
-  std::uint64_t duplicate_results = 0;   ///< losers of first-writer-wins
-  std::uint64_t stale_results = 0;       ///< results for no-longer-active jobs
-  std::uint64_t chunk_failures = 0;      ///< ok=false results
-  std::uint64_t worker_quarantines = 0;  ///< whole-worker backoff windows
-  std::uint64_t workers_lost = 0;        ///< disconnects while job active
-  std::uint64_t remote_chunks = 0;       ///< chunks won by a remote worker
-  std::uint64_t local_chunks = 0;        ///< chunks won by the local runner
-  // Folded from winning WorkerChunkResult frames:
-  std::uint64_t remote_worker_deaths = 0;
-  std::uint64_t remote_worker_hangs = 0;
-  std::uint64_t remote_requeued = 0;
-  std::uint64_t remote_quarantined = 0;
-};
-
-/// Config + hooks for one distributed job run; mirrors CheckpointOptions.
-struct DistributedJobOptions {
-  std::string path;              ///< journal file (same as the local path)
-  std::size_t flush_every = 512; ///< chunk size == flush cadence
-  std::string kernel;            ///< campaign config shipped to workers
-  std::string preset;
-  std::uint32_t pool_workers = 2;
-  std::uint32_t timeout_ms = 2000;
-  std::uint32_t quarantine_after = 3;
-  /// Local co-execution supervisor (zero-worker degradation and chunk
-  /// stealing run through this).
-  campaign::SupervisorOptions supervisor;
-  telemetry::Telemetry* telemetry = nullptr;
-  std::function<void(const campaign::CheckpointProgress&)> on_progress;
-  std::function<bool()> should_stop;
-};
-
-struct DistributedRunResult {
-  campaign::CampaignLog log;
-  bool resumed = false;
-  std::uint64_t skipped = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t torn_frames = 0;  ///< torn journal frames dropped at open
-  bool stopped = false;
-  campaign::SupervisorStats supervisor_stats;  ///< local co-exec + remote deltas
-  DispatchStats dispatch;
-};
-
 class ChunkDispatcher {
  public:
   explicit ChunkDispatcher(DispatchOptions options = {});
@@ -163,16 +109,18 @@ class ChunkDispatcher {
   std::size_t live_workers() const;
 
   // --- job-runner thread --------------------------------------------------
-  /// Runs (or resumes) the listed experiments across the connected workers
-  /// plus the calling thread, with per-chunk journal flushes.  Exactly one
-  /// job may be active at a time (the JobRunner is serial).  Throws like
-  /// run_campaign_checkpointed on journal problems.
-  DistributedRunResult run_job(const fi::Program& program,
-                               const fi::GoldenRun& golden,
-                               std::span<const campaign::ExperimentId> ids,
-                               const DistributedJobOptions& options);
+  /// The CheckpointOptions::executor of a job while workers are connected.
+  /// Each invocation becomes one dispatcher job: its chunks are leased to
+  /// the workers, which run `kernel` at `preset` under the invocation's
+  /// supervisor settings, and co-executed on the calling thread.  Exactly
+  /// one job may be active at a time (the JobRunner is serial); building a
+  /// second executor while one lives throws std::logic_error.
+  campaign::ChunkExecutorFactory executor(std::string kernel,
+                                          std::string preset);
 
  private:
+  class JobExecutor;
+
   struct Chunk {
     enum class State { kPending, kLeased, kDone };
     std::uint64_t seq = 0;
@@ -206,14 +154,17 @@ class ChunkDispatcher {
   struct Job {
     bool active = false;
     std::uint64_t id = 0;
-    std::string kernel, preset;
-    std::uint32_t pool_workers = 2;
-    std::uint32_t timeout_ms = 2000;
-    std::uint32_t quarantine_after = 3;
+    WorkerChunk lease;  ///< what every lease carries but its chunk and ids
     std::vector<Chunk> chunks;
     std::size_t done = 0;
     std::deque<std::size_t> completed;  ///< chunk indexes awaiting merge
-    DispatchStats stats;
+    // What progress reports add to the local supervisor's stats: the ids
+    // requeues put back, and the deltas of winning WorkerChunkResults.
+    std::uint64_t experiments_requeued = 0;
+    std::uint64_t remote_worker_deaths = 0;
+    std::uint64_t remote_worker_hangs = 0;
+    std::uint64_t remote_requeued = 0;
+    std::uint64_t remote_quarantined = 0;
   };
 
   std::uint64_t now() const;
@@ -228,13 +179,9 @@ class ChunkDispatcher {
                               std::uint64_t now_ns) const;
 
   // Runner-side helpers (each takes the mutex).
-  std::optional<std::pair<std::uint64_t, std::vector<campaign::ExperimentId>>>
-  claim_local_chunk();
-  bool complete_local_chunk(std::uint64_t seq,
+  std::optional<std::uint64_t> claim_local_chunk();  ///< a chunk's seq
+  void complete_local_chunk(std::uint64_t seq,
                             std::vector<campaign::ExperimentRecord> records);
-  std::optional<std::pair<std::uint64_t,
-                          std::vector<campaign::ExperimentRecord>>>
-  pop_completed();
 
   DispatchOptions options_;
   mutable std::mutex mutex_;

@@ -262,6 +262,81 @@ void JobRunner::run_loop() {
   }
 }
 
+/// The checkpoint options of every campaign a job runs.  Supervised, and
+/// never in process: a hazard flip that escapes isolation could hang or
+/// kill the whole service, so a pool degraded to nothing fails the job
+/// instead.  A timeout of 0 from a client must not disable hang detection
+/// on the daemon, so it becomes the campaign fallback deadline.  Progress
+/// streams to the submitter with a running tally, and a drain stops the run
+/// at a chunk edge.  With remote workers connected, the dispatcher runs the
+/// chunks and each such campaign counts in `distributed`; outcomes are
+/// deterministic and the journal dedupe sorts by id, so both paths leave
+/// byte-identical journals and boundaries.
+template <class Request>
+campaign::CheckpointOptions JobRunner::checkpoint_options(
+    const CampaignJob& job, const Request& req, const char* distributed) {
+  campaign::CheckpointOptions options;
+  options.telemetry = options_.telemetry;
+  options.flush_every = std::max<std::uint32_t>(1, req.flush_every);
+  options.use_supervisor = true;
+  campaign::SupervisorOptions& supervisor = options.supervisor;
+  supervisor.pool.workers =
+      static_cast<int>(std::clamp<std::uint32_t>(req.workers, 1, 16));
+  supervisor.pool.heartbeat_timeout_ms =
+      req.timeout_ms != 0 ? req.timeout_ms : campaign::kFallbackDeadlineMs;
+  supervisor.pool.use_snapshots = options_.use_snapshots;
+  supervisor.pool.snapshot.interval = options_.snapshot_interval;
+  supervisor.pool.snapshot.timeout_ms = supervisor.pool.heartbeat_timeout_ms;
+  supervisor.quarantine_after = static_cast<int>(req.quarantine_after);
+  supervisor.telemetry = options_.telemetry;
+  supervisor.allow_in_process_fallback = false;
+
+  options.on_progress = [this, &job, tally = campaign::OutcomeCounts{}](
+                            const campaign::CheckpointProgress& p) mutable {
+    const campaign::OutcomeCounts chunk = campaign::count_outcomes(p.chunk);
+    tally.masked += chunk.masked;
+    tally.sdc += chunk.sdc;
+    tally.crash += chunk.crash;
+    tally.hang += chunk.hang;
+    tally.detected += chunk.detected;
+    if (p.chunk.empty()) return;  // the compaction; the done frame covers it
+    CampaignProgress progress;
+    progress.job = job.id;
+    progress.done = p.executed;  // within the running campaign
+    progress.total = p.total;
+    progress.logged = p.logged;
+    progress.masked = tally.masked;
+    progress.sdc = tally.sdc;
+    progress.crash = tally.crash;
+    progress.hang = tally.hang;
+    progress.detected = tally.detected;
+    if (p.supervisor != nullptr) {
+      progress.worker_deaths = p.supervisor->worker_deaths;
+      progress.worker_hangs = p.supervisor->worker_hangs;
+      progress.requeued = p.supervisor->experiments_requeued;
+      progress.quarantined = p.supervisor->quarantined;
+    }
+    if (callbacks_.on_progress) callbacks_.on_progress(job, progress);
+  };
+  options.should_stop = [this] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stop_;
+  };
+  if (options_.dispatcher != nullptr &&
+      options_.dispatcher->live_workers() > 0) {
+    options.executor =
+        [this, distributed,
+         remote = options_.dispatcher->executor(req.kernel, req.preset)](
+            const campaign::ChunkPlan& plan) {
+          if (telemetry::active(options_.telemetry)) {
+            options_.telemetry->metrics().counter(distributed).add();
+          }
+          return remote(plan);
+        };
+  }
+  return options;
+}
+
 void JobRunner::execute(const CampaignJob& job) {
   if (job.kind == JobKind::kRecompute) {
     execute_recompute(job);
@@ -288,100 +363,11 @@ void JobRunner::execute_campaign(const CampaignJob& job) {
     const std::vector<campaign::ExperimentId> ids =
         campaign::sample_uniform(rng, golden.sample_space_size(), job.req.batch);
 
-    campaign::CheckpointOptions options;
-    options.telemetry = options_.telemetry;
+    campaign::CheckpointOptions options =
+        checkpoint_options(job, job.req, "jobs.distributed");
     options.path = options_.store_dir + "/" + key.str() + ".clog";
-    options.flush_every = std::max<std::uint32_t>(1, job.req.flush_every);
-    options.use_supervisor = true;
-    options.supervisor.pool.workers =
-        static_cast<int>(std::clamp<std::uint32_t>(job.req.workers, 1, 16));
-    // timeout 0 from a client request must not disable hang detection on
-    // the daemon: substitute the campaign fallback deadline instead.
-    options.supervisor.pool.heartbeat_timeout_ms =
-        job.req.timeout_ms != 0 ? job.req.timeout_ms
-                                : campaign::kFallbackDeadlineMs;
-    options.supervisor.pool.use_snapshots = options_.use_snapshots;
-    options.supervisor.pool.snapshot.interval = options_.snapshot_interval;
-    options.supervisor.pool.snapshot.timeout_ms =
-        options.supervisor.pool.heartbeat_timeout_ms;
-    options.supervisor.quarantine_after =
-        static_cast<int>(job.req.quarantine_after);
-    options.supervisor.telemetry = options_.telemetry;
-    // Never run injected experiments on the daemon's own thread: a hazard
-    // flip that escapes isolation could hang or kill the whole service.  If
-    // the pool degrades to nothing, fail this one job instead.
-    options.supervisor.allow_in_process_fallback = false;
-
-    campaign::OutcomeCounts tally;
-    campaign::SupervisorStats last_stats;
-    options.on_progress = [&](const campaign::CheckpointProgress& p) {
-      const campaign::OutcomeCounts chunk = campaign::count_outcomes(p.chunk);
-      tally.masked += chunk.masked;
-      tally.sdc += chunk.sdc;
-      tally.crash += chunk.crash;
-      tally.hang += chunk.hang;
-      tally.detected += chunk.detected;
-      if (p.supervisor != nullptr) last_stats = *p.supervisor;
-      if (p.chunk.empty()) return;  // final dedupe flush; CampaignDone covers it
-      CampaignProgress progress;
-      progress.job = job.id;
-      progress.done = p.executed;
-      progress.total = p.total;
-      progress.logged = p.logged;
-      progress.masked = tally.masked;
-      progress.sdc = tally.sdc;
-      progress.crash = tally.crash;
-      progress.hang = tally.hang;
-      progress.detected = tally.detected;
-      progress.worker_deaths = last_stats.worker_deaths;
-      progress.worker_hangs = last_stats.worker_hangs;
-      progress.requeued = last_stats.experiments_requeued;
-      progress.quarantined = last_stats.quarantined;
-      if (callbacks_.on_progress) callbacks_.on_progress(job, progress);
-    };
-    options.should_stop = [this] {
-      std::lock_guard<std::mutex> lock(mutex_);
-      return stop_;
-    };
-
-    campaign::CheckpointRunResult run;
-    const bool distributed = options_.dispatcher != nullptr &&
-                             options_.dispatcher->live_workers() > 0;
-    if (distributed) {
-      // At least one remote worker is live: fan chunks out through the
-      // dispatcher (the runner thread co-executes, so losing every worker
-      // mid-job still finishes it).  Chunk outcomes are deterministic and
-      // the journal dedupe sorts by id, so this path and the local one
-      // below leave byte-identical journals and boundaries.
-      DistributedJobOptions dist;
-      dist.path = options.path;
-      dist.flush_every = options.flush_every;
-      dist.kernel = job.req.kernel;
-      dist.preset = job.req.preset;
-      dist.pool_workers = std::clamp<std::uint32_t>(job.req.workers, 1, 16);
-      dist.timeout_ms = job.req.timeout_ms != 0 ? job.req.timeout_ms
-                                                : campaign::kFallbackDeadlineMs;
-      dist.quarantine_after = job.req.quarantine_after;
-      dist.supervisor = options.supervisor;
-      dist.telemetry = options_.telemetry;
-      dist.on_progress = options.on_progress;
-      dist.should_stop = options.should_stop;
-      DistributedRunResult dres =
-          options_.dispatcher->run_job(*program, golden, ids, dist);
-      run.log = std::move(dres.log);
-      run.resumed = dres.resumed;
-      run.skipped = dres.skipped;
-      run.executed = dres.executed;
-      run.flushes = dres.flushes;
-      run.torn_frames = dres.torn_frames;
-      run.stopped = dres.stopped;
-      run.supervisor_stats = dres.supervisor_stats;
-      if (telemetry::active(options_.telemetry)) {
-        options_.telemetry->metrics().counter("jobs.distributed").add();
-      }
-    } else {
-      run = campaign::run_campaign_checkpointed(*program, golden, ids, options);
-    }
+    campaign::CheckpointRunResult run =
+        campaign::run_campaign_checkpointed(*program, golden, ids, options);
     done.executed = run.executed;
     done.skipped = run.skipped;
     done.flushes = run.flushes;
@@ -492,97 +478,19 @@ void JobRunner::execute_recompute(const CampaignJob& job) {
     sopts.carve.seed = req.seed;
     sopts.carve.batch_per_section = req.section_batch;
     sopts.carve.batch_overrides = req.section_batches;
-    sopts.flush_every = std::max<std::uint32_t>(1, req.flush_every);
     sopts.force = req.force;
     sopts.telemetry = options_.telemetry;
-    // Same isolation posture as a campaign job: supervisor always on, no
-    // in-process fallback (an escaped flip must not take the daemon down),
-    // timeout 0 substituted with the campaign fallback deadline.
-    sopts.use_supervisor = true;
-    sopts.supervisor.pool.workers =
-        static_cast<int>(std::clamp<std::uint32_t>(req.workers, 1, 16));
-    sopts.supervisor.pool.heartbeat_timeout_ms =
-        req.timeout_ms != 0 ? req.timeout_ms : campaign::kFallbackDeadlineMs;
-    sopts.supervisor.pool.use_snapshots = options_.use_snapshots;
-    sopts.supervisor.pool.snapshot.interval = options_.snapshot_interval;
-    sopts.supervisor.pool.snapshot.timeout_ms =
-        sopts.supervisor.pool.heartbeat_timeout_ms;
-    sopts.supervisor.quarantine_after =
-        static_cast<int>(req.quarantine_after);
-    sopts.supervisor.telemetry = options_.telemetry;
-    sopts.supervisor.allow_in_process_fallback = false;
-    sopts.should_stop = [this] {
-      std::lock_guard<std::mutex> lock(mutex_);
-      return stop_;
-    };
-
-    campaign::OutcomeCounts tally;
-    const auto progress_sink = [&](const campaign::CheckpointProgress& p) {
-      const campaign::OutcomeCounts chunk = campaign::count_outcomes(p.chunk);
-      tally.masked += chunk.masked;
-      tally.sdc += chunk.sdc;
-      tally.crash += chunk.crash;
-      tally.hang += chunk.hang;
-      tally.detected += chunk.detected;
-      if (p.chunk.empty()) return;  // final dedupe flush
-      CampaignProgress progress;
-      progress.job = job.id;
-      progress.done = p.executed;   // within the running section
-      progress.total = p.total;
-      progress.logged = p.logged;
-      progress.masked = tally.masked;
-      progress.sdc = tally.sdc;
-      progress.crash = tally.crash;
-      progress.hang = tally.hang;
-      progress.detected = tally.detected;
-      if (p.supervisor != nullptr) {
-        progress.worker_deaths = p.supervisor->worker_deaths;
-        progress.worker_hangs = p.supervisor->worker_hangs;
-        progress.requeued = p.supervisor->experiments_requeued;
-        progress.quarantined = p.supervisor->quarantined;
-      }
-      if (callbacks_.on_progress) callbacks_.on_progress(job, progress);
-    };
+    const campaign::CheckpointOptions checkpoint =
+        checkpoint_options(job, req, "jobs.distributed_sections");
+    sopts.flush_every = checkpoint.flush_every;
+    sopts.use_supervisor = checkpoint.use_supervisor;
+    sopts.supervisor = checkpoint.supervisor;
+    sopts.should_stop = checkpoint.should_stop;
     sopts.on_progress = [&](const std::string&,
                             const campaign::CheckpointProgress& p) {
-      progress_sink(p);
+      checkpoint.on_progress(p);
     };
-
-    // With live remote workers, each dirty section fans out through the
-    // chunk dispatcher; the journal it leaves is byte-identical to the
-    // local path's, so resume and splice semantics are unchanged.
-    if (options_.dispatcher != nullptr &&
-        options_.dispatcher->live_workers() > 0) {
-      sopts.section_runner =
-          [&](const sections::SectionSpec&,
-              std::span<const campaign::ExperimentId> ids,
-              const std::string& journal) {
-            DistributedJobOptions dist;
-            dist.path = journal;
-            dist.flush_every = sopts.flush_every;
-            dist.kernel = req.kernel;
-            dist.preset = req.preset;
-            dist.pool_workers = std::clamp<std::uint32_t>(req.workers, 1, 16);
-            dist.timeout_ms = sopts.supervisor.pool.heartbeat_timeout_ms;
-            dist.quarantine_after = req.quarantine_after;
-            dist.supervisor = sopts.supervisor;
-            dist.telemetry = options_.telemetry;
-            dist.on_progress = progress_sink;
-            dist.should_stop = sopts.should_stop;
-            DistributedRunResult dres =
-                options_.dispatcher->run_job(*program, golden, ids, dist);
-            if (telemetry::active(options_.telemetry)) {
-              options_.telemetry->metrics()
-                  .counter("jobs.distributed_sections")
-                  .add();
-            }
-            sections::SectionRunOutcome out;
-            out.log = std::move(dres.log);
-            out.executed = dres.executed;
-            out.stopped = dres.stopped;
-            return out;
-          };
-    }
+    sopts.executor = checkpoint.executor;
 
     // Previous composed artifact seeds the fingerprint diff.  Missing ==
     // full compose; unusable == recompute everything (counted) rather than

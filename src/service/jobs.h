@@ -42,6 +42,10 @@
 #include "service/store.h"
 #include "telemetry/events.h"
 
+namespace ftb::campaign {
+struct CheckpointOptions;
+}  // namespace ftb::campaign
+
 namespace ftb::service {
 
 class ChunkDispatcher;
@@ -146,6 +150,10 @@ class JobRunner {
   void execute(const CampaignJob& job);
   void execute_campaign(const CampaignJob& job);
   void execute_recompute(const CampaignJob& job);
+  template <class Request>
+  campaign::CheckpointOptions checkpoint_options(const CampaignJob& job,
+                                                 const Request& req,
+                                                 const char* distributed);
   Submit enqueue(CampaignJob job, std::uint64_t* job_id,
                  std::uint32_t* queue_depth, std::string* error);
   void ledger_transition(std::uint64_t job, JobState state,

@@ -23,8 +23,7 @@ void Telemetry::instant(std::string name, std::string category,
   event.category = std::move(category);
   event.start_ns = now_ns();
   event.args = std::move(args);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(std::move(event));
+  push(std::move(event));
 }
 
 void Telemetry::record_span(std::string name, std::string category,
@@ -38,7 +37,13 @@ void Telemetry::record_span(std::string name, std::string category,
   event.start_ns = start_ns;
   event.duration_ns = duration_ns;
   event.args = std::move(args);
+  push(std::move(event));
+}
+
+void Telemetry::push(TraceEvent event) {
   const std::lock_guard<std::mutex> lock(mutex_);
+  event.tid = tids_.try_emplace(std::this_thread::get_id(), tids_.size())
+                  .first->second;
   events_.push_back(std::move(event));
 }
 

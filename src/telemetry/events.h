@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,8 @@ struct TraceEvent {
   std::string category;
   std::uint64_t start_ns = 0;
   std::uint64_t duration_ns = 0;  // spans only
+  // The recording thread: threads are numbered per sink, 0 first, in the
+  // order of their first event.
   std::uint64_t tid = 0;
   // Small numeric payload ("round": 3, "picked": 128, ...).  Doubles keep the
   // export simple; counts up to 2^53 round-trip exactly.
@@ -93,6 +97,8 @@ class Telemetry {
   std::vector<TraceEvent> events() const;
 
  private:
+  void push(TraceEvent event);
+
   SteadyClock default_clock_;
   const Clock* clock_;
   std::atomic<bool> enabled_{false};
@@ -100,6 +106,7 @@ class Telemetry {
   MetricsRegistry metrics_;
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
+  std::unordered_map<std::thread::id, std::uint64_t> tids_;
 };
 
 // True when `t` is non-null and enabled: gate for any instrumentation that

@@ -2,9 +2,10 @@
 // campaign/log.h): a torn tail cut at every offset of the last frame resumes
 // to the undisturbed bytes, a bad frame with bytes after it is refused with
 // its offset, v2/v3 journals are upgraded in place, every executor leaves the
-// same finished journal, flushes write O(chunk) bytes, and no single-byte
-// corruption of a v4 journal loads a record the original did not hold.
-// Frames are written behind: every report sees its own chunk's frame last
+// same finished journal (chunks that come back out of order included),
+// flushes write O(chunk) bytes, and no single-byte corruption of a v4
+// journal loads a record the original did not hold.  Frames are written
+// behind on every executor: every report sees its own chunk's frame last
 // with nothing in flight, and a failed frame, an executor failure or a
 // drain leaves a journal that resumes to the undisturbed bytes.
 #include "campaign/checkpoint.h"
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -164,6 +166,63 @@ struct Campaign {
   std::vector<ExperimentId> ids;
 };
 
+/// The executors behind run_campaign_checkpointed.
+enum class Executor {
+  kPool,
+  kSandbox,
+  kSupervisor,
+  kSnapshotSupervisor,
+  kDispatcher,
+};
+
+constexpr Executor kExecutors[] = {
+    Executor::kPool, Executor::kSandbox, Executor::kSupervisor,
+    Executor::kSnapshotSupervisor, Executor::kDispatcher};
+
+std::string name_of(Executor executor) {
+  switch (executor) {
+    case Executor::kPool: return "pool";
+    case Executor::kSandbox: return "sandbox";
+    case Executor::kSupervisor: return "supervisor";
+    case Executor::kSnapshotSupervisor: return "snapshot_supervisor";
+    case Executor::kDispatcher: return "dispatcher";
+  }
+  return "unknown";
+}
+
+// Names the parameter in test listings.
+void PrintTo(Executor executor, std::ostream* out) { *out << name_of(executor); }
+
+/// True for the executors whose reports carry supervisor stats.
+bool shows_supervisor_stats(Executor executor) {
+  return executor != Executor::kPool && executor != Executor::kSandbox;
+}
+
+/// `options` set to run on `executor`; the dispatcher case runs on
+/// `dispatcher`, with no worker connected.
+CheckpointOptions on(Executor executor, CheckpointOptions options,
+                     service::ChunkDispatcher& dispatcher) {
+  switch (executor) {
+    case Executor::kPool:
+      break;
+    case Executor::kSandbox:
+      options.use_sandbox = true;
+      break;
+    case Executor::kSupervisor:
+    case Executor::kSnapshotSupervisor:
+      options.use_supervisor = true;
+      options.supervisor.pool.workers = 2;
+      options.supervisor.pool.use_snapshots =
+          executor == Executor::kSnapshotSupervisor;
+      break;
+    case Executor::kDispatcher:
+      options.supervisor.pool.workers = 2;
+      options.executor = dispatcher.executor("daxpy", "tiny");
+      break;
+  }
+  return options;
+}
+
 TEST(Journal, FreshRunAppendsOneFramePerChunkAndEndsAsTheImage) {
   Campaign c;
   const std::string path = temp_path("fresh");
@@ -196,11 +255,11 @@ TEST(Journal, EveryReportSeesItsOwnFrameLastWithNothingInFlight) {
   const std::string path = temp_path("report");
   const std::size_t header =
       encode_journal_header(c.program->config_key()).size();
-  for (const bool supervised : {false, true}) {
+  service::ChunkDispatcher dispatcher;
+  for (const Executor executor : kExecutors) {
     fs::remove(path);
-    CheckpointOptions options = c.options(path);
-    options.use_supervisor = supervised;
-    options.supervisor.pool.workers = 2;
+    CheckpointOptions options = on(executor, c.options(path), dispatcher);
+    const bool supervised = shows_supervisor_stats(executor);
     std::uint64_t reports = 0;
     std::uint64_t first_dispatched = 0;
     options.on_progress = [&](const CheckpointProgress& progress) {
@@ -228,7 +287,7 @@ TEST(Journal, EveryReportSeesItsOwnFrameLastWithNothingInFlight) {
     };
     CheckpointRunResult run;
     (void)c.finish(options, &run);
-    EXPECT_EQ(reports, 4u) << "supervised " << supervised;
+    EXPECT_EQ(reports, 4u) << name_of(executor);
     EXPECT_EQ(run.flushes, 5u);
   }
   fs::remove(path);
@@ -361,9 +420,11 @@ TEST(Journal, ShouldStopInsideAReportDrainsWithEveryJournaledRecordReported) {
   fs::remove(reference_path);
   const std::string reference = c.finish(c.options(reference_path));
   const std::string path = temp_path("drain");
+  service::ChunkDispatcher dispatcher;
+  for (const Executor executor : kExecutors) {
   for (const std::size_t stop_at : {1u, 2u}) {
     fs::remove(path);
-    CheckpointOptions options = c.options(path);
+    CheckpointOptions options = on(executor, c.options(path), dispatcher);
     bool stop = false;
     std::size_t reports = 0;
     std::vector<ExperimentId> reported;
@@ -382,9 +443,11 @@ TEST(Journal, ShouldStopInsideAReportDrainsWithEveryJournaledRecordReported) {
     // had already run, and is journaled and reported before the drain.
     EXPECT_EQ(run.log.size(), 10 * (stop_at + 1));
     std::sort(reported.begin(), reported.end());
-    EXPECT_EQ(reported, run.log.ids()) << "stop at report " << stop_at;
+    EXPECT_EQ(reported, run.log.ids())
+        << name_of(executor) << ", stop at report " << stop_at;
     EXPECT_TRUE(c.finish(c.options(path)) == reference)
-        << "stop at report " << stop_at;
+        << name_of(executor) << ", stop at report " << stop_at;
+  }
   }
   fs::remove(path);
   fs::remove(reference_path);
@@ -504,7 +567,9 @@ TEST(Journal, VersionTwoAndThreeJournalsAreUpgradedInPlace) {
   fs::remove(reference_path);
 }
 
-TEST(Journal, EveryExecutorLeavesTheSameFinishedJournal) {
+class JournalExecutor : public ::testing::TestWithParam<Executor> {};
+
+TEST_P(JournalExecutor, LeavesTheSameFinishedJournal) {
   Campaign c;
   const std::string reference_path = temp_path("executor_reference");
   fs::remove(reference_path);
@@ -512,60 +577,85 @@ TEST(Journal, EveryExecutorLeavesTheSameFinishedJournal) {
   const InFlight flight = c.in_flight(2);
   const std::string torn = flight.bytes.substr(0, flight.last_frame + 33);
 
-  const auto supervised = [&](const std::string& path, bool snapshots) {
-    CheckpointOptions options = c.options(path);
-    options.use_supervisor = true;
-    options.supervisor.pool.workers = 2;
-    options.supervisor.pool.use_snapshots = snapshots;
-    return options;
-  };
-  const auto sandboxed = [&](const std::string& path) {
-    CheckpointOptions options = c.options(path);
-    options.use_sandbox = true;
-    return options;
-  };
-  const auto dispatched = [&](const std::string& path) {
-    service::ChunkDispatcher dispatcher;
-    service::DistributedJobOptions options;
-    options.path = path;
-    options.flush_every = 10;
-    options.kernel = "daxpy";
-    options.preset = "tiny";
-    options.supervisor.pool.workers = 2;
-    const service::DistributedRunResult run =
-        dispatcher.run_job(*c.program, c.golden, c.ids, options);
-    return run.torn_frames;
-  };
-
   const std::string path = temp_path("executor");
+  service::ChunkDispatcher dispatcher;
   for (const bool resume : {false, true}) {
-    const auto prepare = [&] {
-      fs::remove(path);
-      if (resume) write_file(path, torn);
-    };
-    const std::uint64_t want_torn = resume ? 1 : 0;
+    fs::remove(path);
+    if (resume) write_file(path, torn);
     CheckpointRunResult run;
-
-    prepare();
-    EXPECT_TRUE(c.finish(supervised(path, false), &run) == reference)
-        << "supervisor, resume " << resume;
-    EXPECT_EQ(run.torn_frames, want_torn);
-
-    prepare();
-    EXPECT_TRUE(c.finish(supervised(path, true), &run) == reference)
-        << "snapshot supervisor, resume " << resume;
-    EXPECT_EQ(run.torn_frames, want_torn);
-
-    prepare();
-    EXPECT_TRUE(c.finish(sandboxed(path), &run) == reference)
-        << "sandbox, resume " << resume;
-    EXPECT_EQ(run.torn_frames, want_torn);
-
-    prepare();
-    EXPECT_EQ(dispatched(path), want_torn);
-    EXPECT_TRUE(read_file(path) == reference)
-        << "dispatcher, resume " << resume;
+    EXPECT_TRUE(c.finish(on(GetParam(), c.options(path), dispatcher), &run) ==
+                reference)
+        << "resume " << resume;
+    EXPECT_EQ(run.torn_frames, resume ? 1u : 0u);
   }
+  fs::remove(path);
+  fs::remove(reference_path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Every, JournalExecutor,
+                         ::testing::ValuesIn(kExecutors),
+                         [](const auto& test_info) {
+                           return name_of(test_info.param);
+                         });
+
+/// Runs the plan's chunks in process and hands them back last first,
+/// logging the ids of each chunk it returns.
+class ReverseExecutor final : public ChunkExecutor {
+ public:
+  ReverseExecutor(const ChunkPlan& plan, util::ThreadPool& pool,
+                  std::vector<std::vector<ExperimentId>>& returned)
+      : plan_(plan), pool_(pool), returned_(returned),
+        left_(plan.chunks.size()) {}
+
+  std::optional<ExecutedChunk> next(
+      const std::function<bool()>& should_stop) override {
+    if (left_ == 0 || (should_stop && should_stop())) return std::nullopt;
+    const std::span<const ExperimentId> chunk = plan_.chunks[--left_];
+    returned_.emplace_back(chunk.begin(), chunk.end());
+    return ExecutedChunk{
+        run_experiments(plan_.program, plan_.golden, chunk, pool_)};
+  }
+  void finish(CheckpointRunResult&) override {}
+
+ private:
+  const ChunkPlan& plan_;
+  util::ThreadPool& pool_;
+  std::vector<std::vector<ExperimentId>>& returned_;
+  std::size_t left_;
+};
+
+TEST(Journal, ChunksFinishedOutOfOrderLeaveTheInOrderBytes) {
+  Campaign c;
+  const std::string reference_path = temp_path("reverse_reference");
+  fs::remove(reference_path);
+  const std::string reference = c.finish(c.options(reference_path));
+
+  const std::string path = temp_path("reverse");
+  fs::remove(path);
+  CheckpointOptions options = c.options(path);
+  std::vector<std::vector<ExperimentId>> returned;
+  options.executor = [&](const ChunkPlan& plan) {
+    return std::make_unique<ReverseExecutor>(plan, c.pool, returned);
+  };
+  std::vector<std::vector<ExperimentId>> reported;
+  std::vector<std::size_t> returned_at_report;
+  options.on_progress = [&](const CheckpointProgress& progress) {
+    if (progress.chunk.empty()) return;
+    std::vector<ExperimentId>& ids = reported.emplace_back();
+    for (const ExperimentRecord& record : progress.chunk) {
+      ids.push_back(record.id);
+    }
+    returned_at_report.push_back(returned.size());
+  };
+  CheckpointRunResult run;
+  EXPECT_TRUE(c.finish(options, &run) == reference);
+  EXPECT_EQ(run.executed, 40u);
+  EXPECT_FALSE(run.stopped);
+  // Every chunk is reported once, in the order it came back, and one chunk
+  // behind: chunk k after chunk k+1 came back, the last one at the end.
+  ASSERT_EQ(returned.size(), 4u);
+  EXPECT_EQ(reported, returned);
+  EXPECT_EQ(returned_at_report, (std::vector<std::size_t>{2, 3, 4, 4}));
   fs::remove(path);
   fs::remove(reference_path);
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +153,30 @@ TEST(TelemetryEvents, EventsOffSinkStillCountsMetricsAndHoldsNoEvents) {
   sink.set_events_enabled(true);
   sink.instant("a", "b");
   EXPECT_EQ(sink.events().size(), 1u);
+}
+
+// Each thread records on its own trace track: threads are numbered per
+// sink, 0 first, in the order of their first event.
+TEST(TelemetryEvents, EachThreadRecordsOnItsOwnTrack) {
+  telemetry::Telemetry sink;
+  sink.set_enabled(true);
+  sink.record_span("first", "t", 0, 10);
+  std::thread([&] {
+    telemetry::SpanScope span(&sink, "second", "t");
+    sink.instant("second.instant", "t");
+  }).join();
+  sink.instant("first.instant", "t");
+  const std::vector<telemetry::TraceEvent> events = sink.events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].tid, 0u);
+  EXPECT_EQ(events[1].tid, 1u);  // second.instant
+  EXPECT_EQ(events[2].tid, 1u);  // the second thread's span
+  EXPECT_EQ(events[3].tid, 0u);
+
+  telemetry::Telemetry other;
+  other.set_enabled(true);
+  std::thread([&] { other.instant("x", "t"); }).join();
+  EXPECT_EQ(other.events().front().tid, 0u);
 }
 
 TEST(TelemetryExport, GoldenJsonlAndChromeTraceUnderManualClock) {

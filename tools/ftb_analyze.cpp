@@ -287,13 +287,12 @@ void print_outcomes(std::span<const campaign::ExperimentRecord> records) {
 /// trace flip).  Burst models flip --burst-width contiguous bits (default
 /// 2); memory-resident models draw from the live-state spans the kernel
 /// announces via Tracer::touch().  The id set is a pure function of
-/// (--seed + seed_offset, --fault, --burst-width), so resumed invocations
-/// re-aim at the interrupted experiment set.
-std::vector<campaign::ExperimentId> sample_fault_ids(
-    const util::Cli& cli, const Loaded& k, std::uint64_t seed_offset) {
+/// (--seed, --fault, --burst-width), so resumed invocations re-aim at the
+/// interrupted experiment set.
+std::vector<campaign::ExperimentId> sample_fault_ids(const util::Cli& cli,
+                                                     const Loaded& k) {
   const auto batch = static_cast<std::uint64_t>(cli.get_int("batch", 1000));
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)) +
-                seed_offset);
+  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
   const std::string fault = cli.get("fault", "bitflip");
   const int width = static_cast<int>(cli.get_int("burst-width", 2));
   if (fault == "bitflip") {
@@ -334,17 +333,25 @@ std::vector<campaign::ExperimentId> sample_fault_ids(
 }
 
 /// Checkpointed campaign: run the sampled experiment set through the
-/// journalled runner, flushing every --flush-every experiments so an
-/// interrupted invocation resumes from the last flush.  --timeout-ms (or
-/// --sandbox 1) routes experiments through the fork-based isolation layer;
-/// --workers N upgrades that to the persistent worker-pool supervisor
-/// (heartbeats, respawn with backoff, --quarantine-after K site
+/// journalled runner into --resume FILE, flushing every --flush-every
+/// experiments so an interrupted invocation resumes from the last flush;
+/// another --seed into the same journal grows the campaign.  --timeout-ms
+/// (or --sandbox 1) routes experiments through the fork-based isolation
+/// layer; --workers N upgrades that to the persistent worker-pool
+/// supervisor (heartbeats, respawn with backoff, --quarantine-after K site
 /// quarantine), which is the cheapest way to campaign hazard kernels.
 /// --save OUT writes the boundary from the run's own evidence, replaying
 /// only the masked records it did not fold (those loaded at resume).
-int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
-                        const std::string& path,
-                        telemetry::Telemetry* tele) {
+int cmd_campaign(const util::Cli& cli) {
+  const std::string path = cli.get("resume");
+  if (path.empty()) {
+    std::fprintf(stderr,
+                 "error: campaign needs --resume FILE, the journal it runs "
+                 "into (resumed when it exists)\n");
+    return 1;
+  }
+  telemetry::Telemetry* const tele = setup_telemetry(cli);
+  const Loaded k = load_kernel(cli, tele);
   campaign::CheckpointOptions options;
   options.telemetry = tele;
   options.path = path;
@@ -372,7 +379,7 @@ int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
   // The id set must be a pure function of the seed (and fault flags): a
   // resumed invocation has to aim at the same experiments as the
   // interrupted one.
-  const std::vector<campaign::ExperimentId> ids = sample_fault_ids(cli, k, 0);
+  const std::vector<campaign::ExperimentId> ids = sample_fault_ids(cli, k);
 
   const campaign::CheckpointRunResult run =
       campaign::run_campaign_checkpointed(*k.program, k.golden, ids, options);
@@ -419,132 +426,6 @@ int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
   const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
       *k.program, k.golden, run.log, {cli.get_bool("filter", true), 32},
       util::default_pool(), tele, &run.evidence);
-  describe_boundary(built, k);
-  const int saved = save_if_requested(cli, built, k);
-  const int exported = export_telemetry(cli);
-  return saved != 0 ? saved : exported;
-}
-
-/// Journal-less one-shot campaign: sample --batch experiments and classify
-/// them in chunks, through the persistent worker-pool supervisor
-/// (--workers N), the per-batch sandbox (--sandbox / --timeout-ms), or
-/// in-process.  Nothing is written except the telemetry exports -- this is
-/// the quickest way to profile a campaign configuration.
-int cmd_campaign_oneshot(const util::Cli& cli, const Loaded& k,
-                         telemetry::Telemetry* tele) {
-  util::ThreadPool& pool = util::default_pool();
-  const std::vector<campaign::ExperimentId> ids = sample_fault_ids(cli, k, 0);
-
-  const auto chunk_size = static_cast<std::size_t>(cli.get_int("chunk", 256));
-  const auto timeout_ms =
-      static_cast<std::uint32_t>(cli.get_int("timeout-ms", 2000));
-  const bool use_sandbox = cli.get_bool("sandbox", cli.has("timeout-ms"));
-
-  // --snapshot requires the worker-pool supervisor (the fork-server lives
-  // inside its workers), so it forces one on even without --workers.
-  const bool use_snapshots =
-      cli.get_bool("snapshot", cli.has("snapshot-every"));
-  std::optional<campaign::CampaignSupervisor> supervisor;
-  if (cli.has("workers") || use_snapshots) {
-    campaign::SupervisorOptions options;
-    options.pool.workers = static_cast<int>(cli.get_int("workers", 4));
-    options.pool.heartbeat_timeout_ms = timeout_ms;
-    options.pool.use_snapshots = use_snapshots;
-    options.pool.snapshot.interval =
-        static_cast<std::uint64_t>(cli.get_int("snapshot-every", 4096));
-    options.pool.snapshot.timeout_ms = timeout_ms;
-    options.quarantine_after =
-        static_cast<int>(cli.get_int("quarantine-after", 3));
-    options.telemetry = tele;
-    supervisor.emplace(*k.program, k.golden, options);
-  }
-  fi::SandboxOptions sandbox_options;
-  sandbox_options.timeout_ms = timeout_ms;
-
-  std::vector<campaign::ExperimentRecord> records;
-  records.reserve(ids.size());
-  std::size_t chunks = 0;
-  for (std::size_t begin = 0; begin < ids.size(); begin += chunk_size) {
-    const std::size_t end = std::min(begin + chunk_size, ids.size());
-    const std::span<const campaign::ExperimentId> chunk(ids.data() + begin,
-                                                        end - begin);
-    telemetry::SpanScope span(tele, "campaign.chunk", "campaign");
-    span.arg("experiments", static_cast<double>(chunk.size()));
-    std::vector<campaign::ExperimentRecord> chunk_records;
-    if (supervisor) {
-      chunk_records = supervisor->run(chunk);
-    } else if (use_sandbox) {
-      chunk_records = campaign::run_experiments_sandboxed(
-          *k.program, k.golden, chunk, sandbox_options);
-    } else {
-      chunk_records =
-          campaign::run_experiments(*k.program, k.golden, chunk, pool);
-    }
-    records.insert(records.end(), chunk_records.begin(), chunk_records.end());
-    ++chunks;
-  }
-
-  std::printf("executed          : %zu experiments in %zu chunks\n",
-              records.size(), chunks);
-  if (supervisor) {
-    const campaign::SupervisorStats sup = supervisor->stats();
-    std::printf("supervisor        : %llu workers spawned, %llu deaths, "
-                "%llu hangs, %llu quarantined\n",
-                static_cast<unsigned long long>(sup.pool.workers_spawned),
-                static_cast<unsigned long long>(sup.worker_deaths),
-                static_cast<unsigned long long>(sup.worker_hangs),
-                static_cast<unsigned long long>(sup.quarantined));
-  }
-  print_outcomes(records);
-  return export_telemetry(cli);
-}
-
-/// Runs (or extends) a persistent campaign log, then rebuilds the boundary
-/// from everything logged so far -- the resumable-campaign workflow.
-int cmd_campaign(const util::Cli& cli) {
-  telemetry::Telemetry* const tele = setup_telemetry(cli);
-  const Loaded k = load_kernel(cli, tele);
-  const std::string resume = cli.get("resume");
-  if (!resume.empty()) return cmd_campaign_resume(cli, k, resume, tele);
-
-  const std::string path = cli.get("log");
-  if (path.empty()) {
-    // No journal requested: run the one-shot (ephemeral) campaign.
-    return cmd_campaign_oneshot(cli, k, tele);
-  }
-  util::ThreadPool& pool = util::default_pool();
-
-  campaign::CampaignLog log(k.program->config_key());
-  std::string load_error;
-  if (auto existing = campaign::CampaignLog::load(path, &load_error)) {
-    if (existing->config_key() != k.program->config_key()) {
-      std::fprintf(stderr, "error: %s holds a different configuration\n",
-                   path.c_str());
-      return 1;
-    }
-    log = std::move(*existing);
-    std::printf("resuming: %zu experiments already logged\n", log.size());
-  } else if (load_error.find("cannot open") == std::string::npos) {
-    // Missing file = fresh campaign; anything else is real corruption.
-    std::fprintf(stderr, "error: %s\n", load_error.c_str());
-    return 1;
-  }
-
-  const std::vector<campaign::ExperimentId> ids =
-      sample_fault_ids(cli, k, log.size());
-  log.append(campaign::run_experiments(*k.program, k.golden, ids, pool));
-  log.dedupe();
-  if (!log.save(path)) {
-    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("logged %zu distinct experiments -> %s\n", log.size(),
-              path.c_str());
-  print_outcomes(log.records());
-
-  const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
-      *k.program, k.golden, log,
-      {cli.get_bool("filter", true), 32}, pool, tele);
   describe_boundary(built, k);
   const int saved = save_if_requested(cli, built, k);
   const int exported = export_telemetry(cli);
@@ -894,11 +775,11 @@ int main(int argc, char** argv) {
       "              --workers N / --quarantine-after K run rounds through the\n"
       "              crash-safe supervisor -- required for hazard kernels)\n"
       "  exhaustive  ground-truth campaign and exact boundary (--save FILE)\n"
-      "  campaign    resumable logged campaign: run --batch more experiments,\n"
-      "              append to --log FILE, rebuild the boundary; or\n"
-      "              --resume FILE for the checkpointed runner (--flush-every N,\n"
+      "  campaign    checkpointed campaign of --batch N experiments into the\n"
+      "              journal --resume FILE (required; resumed when it exists,\n"
+      "              grown by another --seed).  --flush-every N,\n"
       "              --sandbox 0|1, --timeout-ms MS watchdog; sandboxing is\n"
-      "              required for hazard kernels).  --workers N runs the\n"
+      "              required for hazard kernels.  --workers N runs the\n"
       "              persistent worker-pool supervisor instead (heartbeats,\n"
       "              respawn, --quarantine-after K site quarantine).\n"
       "              --save FILE writes the boundary (--filter 0|1) from\n"
@@ -907,8 +788,6 @@ int main(int argc, char** argv) {
       "              --snapshot serves experiments from copy-on-write\n"
       "              fork-server checkpoints (--snapshot-every I dynamic\n"
       "              instructions, default 4096); implies the supervisor.\n"
-      "              Without --log/--resume: one-shot campaign, nothing\n"
-      "              persisted (--batch N, --chunk N, same isolation flags).\n"
       "              --fault bitflip|burst|mem|memburst picks the fault\n"
       "              model (--burst-width K, default 2): burst = K\n"
       "              contiguous bits of a traced value, mem/memburst =\n"
