@@ -146,9 +146,11 @@ campaign::FirstPassStats campaign_to_boundary(Path path,
     campaign::SupervisorOptions options;
     options.pool.workers = workers;
     if (single) {
-      options.pool.run_experiment = [&](const fi::Injection& injection,
-                                        std::size_t slot) {
-        return first.run(*j.program, j.golden, injection, slot);
+      options.pool.run_group = [&](std::span<const fi::Injection> injections,
+                                   std::span<fi::ExperimentResult> results,
+                                   std::size_t slot) {
+        return first.run_group(*j.program, j.golden, injections, results,
+                               slot);
       };
     }
     supervisor.emplace(*j.program, j.golden, options);

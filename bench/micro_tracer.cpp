@@ -139,4 +139,38 @@ BENCHMARK_CAPTURE(BM_DefaultExperiment, lu_compare, "lu", true);
 BENCHMARK_CAPTURE(BM_DefaultExperiment, fft_inject, "fft", false);
 BENCHMARK_CAPTURE(BM_DefaultExperiment, fft_compare, "fft", true);
 
+// The same experiments run as lane groups (fi::run_injected_group): each
+// iteration runs fi::kLanes experiments at neighbouring sites -- as a
+// descending-order campaign groups them -- in one kernel pass, and the
+// `experiment` counter is the time per experiment, to read beside
+// BM_DefaultExperiment's time per iteration.
+void BM_DefaultGroup(benchmark::State& state, const char* kernel,
+                     bool compare) {
+  const fi::ProgramPtr program =
+      kernels::make_program(kernel, kernels::Preset::kDefault);
+  const fi::GoldenRun golden = fi::run_golden(*program);
+  std::vector<double> diffs(compare ? golden.trace.size() * fi::kLanes : 0);
+  std::uint64_t site = 0;
+  int bit = 0;
+  std::vector<fi::Injection> group(fi::kLanes);
+  for (auto _ : state) {
+    site = (site + 97 * fi::kLanes) % (golden.trace.size() - fi::kLanes);
+    for (std::size_t l = 0; l < fi::kLanes; ++l) {
+      bit = (bit + 13) % 64;
+      group[l] = fi::Injection::bit_flip(site + l, bit);
+    }
+    benchmark::DoNotOptimize(
+        fi::run_injected_group(*program, golden, group, diffs));
+  }
+  state.counters["experiment"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * fi::kLanes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_DefaultGroup, cg_inject, "cg", false);
+BENCHMARK_CAPTURE(BM_DefaultGroup, cg_compare, "cg", true);
+BENCHMARK_CAPTURE(BM_DefaultGroup, lu_inject, "lu", false);
+BENCHMARK_CAPTURE(BM_DefaultGroup, lu_compare, "lu", true);
+BENCHMARK_CAPTURE(BM_DefaultGroup, fft_inject, "fft", false);
+BENCHMARK_CAPTURE(BM_DefaultGroup, fft_compare, "fft", true);
+
 }  // namespace

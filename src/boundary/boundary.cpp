@@ -9,6 +9,11 @@ FaultToleranceBoundary::FaultToleranceBoundary(std::vector<double> thresholds,
                                                std::vector<std::uint8_t> exact)
     : thresholds_(std::move(thresholds)), exact_(std::move(exact)) {
   assert(exact_.empty() || exact_.size() == thresholds_.size());
+  // All zero reads the same as none (is_exact, merge_max, serialize).
+  if (std::none_of(exact_.begin(), exact_.end(),
+                   [](std::uint8_t flag) { return flag != 0; })) {
+    exact_ = std::vector<std::uint8_t>();
+  }
 }
 
 std::size_t FaultToleranceBoundary::informed_sites() const noexcept {

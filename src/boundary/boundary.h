@@ -19,7 +19,8 @@ class FaultToleranceBoundary {
 
   /// `thresholds[i]` is Delta-e_i.  `exact[i]` marks sites whose threshold
   /// came from enumerating all 64 bit flips rather than from inference
-  /// (Section 4.4 uses the correct value for fully-tested sites).
+  /// (Section 4.4 uses the correct value for fully-tested sites).  A
+  /// boundary without exact sites -- every sampled one -- keeps no flags.
   explicit FaultToleranceBoundary(std::vector<double> thresholds,
                                   std::vector<std::uint8_t> exact = {});
 
@@ -31,6 +32,9 @@ class FaultToleranceBoundary {
   }
 
   std::span<const double> thresholds() const noexcept { return thresholds_; }
+
+  /// True when some site is exact; otherwise no per-site flags are stored.
+  bool any_exact() const noexcept { return !exact_.empty(); }
 
   /// The paper's definition: errors <= Delta-e are tolerated.
   bool predict_masked(std::size_t site, double injected_error) const noexcept {

@@ -15,7 +15,9 @@ namespace {
 
 /// Dynamic instructions the experiments of `chunk` run and skip: each
 /// skips those before its golden state (fi::start_state) and runs the rest
-/// of the trace (a run that traps stops earlier; it counts whole).
+/// of the trace (a run that traps stops earlier; it counts whole).  A lane
+/// group's experiments share one golden state (FirstPass::group_size), so
+/// each lane runs exactly this.
 std::pair<std::uint64_t, std::uint64_t> count_steps(
     const fi::GoldenRun& golden, std::span<const ExperimentRecord> chunk) {
   std::uint64_t skipped = 0;
@@ -193,9 +195,9 @@ CampaignLog CampaignJournal::finish(const std::function<void()>& durable) {
   log_.dedupe();
   // CampaignLog::save's durable publish, spelled out to learn the size and
   // the reason of a failure.
-  const std::string image = log_.serialize();
+  const std::vector<std::uint8_t> image = log_.image();
   std::string error;
-  if (!util::write_file_durable(path_, image, &error)) {
+  if (!util::write_file_durable(path_, image.data(), image.size(), &error)) {
     throw std::runtime_error("cannot write campaign journal '" + path_ +
                              "': " + error);
   }
@@ -233,11 +235,13 @@ CheckpointRunResult run_campaign_checkpointed(
 
   // First-pass evidence where the executor can fold: the in-process pool,
   // or the supervised pool without snapshots.  Descending site order lets
-  // the sites above the chunk in flight settle first.
+  // the sites above the chunk in flight settle first.  A journal that owes
+  // nothing needs neither the mapping nor the supervisor's workers.
   std::optional<FirstPass> first;
-  if (!options.executor && (options.use_supervisor
-                                ? !options.supervisor.pool.use_snapshots
-                                : !options.use_sandbox)) {
+  const bool nothing_owed = remaining.empty();
+  if (!nothing_owed && !options.executor &&
+      (options.use_supervisor ? !options.supervisor.pool.use_snapshots
+                              : !options.use_sandbox)) {
     std::sort(remaining.begin(), remaining.end(), std::greater<>());
     first.emplace(golden, journal.records(), remaining,
                   options.use_supervisor
@@ -259,15 +263,20 @@ CheckpointRunResult run_campaign_checkpointed(
   std::unique_ptr<ChunkExecutor> executor;
   if (options.executor) {
     executor = options.executor(plan);
+  } else if (nothing_owed) {
+    executor = std::make_unique<LocalExecutor>(
+        chunks, [](std::span<const ExperimentId>) { return ExecutedChunk{}; });
   } else if (options.use_supervisor) {
     SupervisorOptions supervisor_options = options.supervisor;
     if (supervisor_options.telemetry == nullptr) {
       supervisor_options.telemetry = options.telemetry;
     }
     if (first && first->ok()) {
-      supervisor_options.pool.run_experiment =
-          [&](const fi::Injection& injection, std::size_t slot) {
-            return first->run(program, golden, injection, slot);
+      supervisor_options.pool.run_group =
+          [&](std::span<const fi::Injection> injections,
+              std::span<fi::ExperimentResult> results, std::size_t slot) {
+            return first->run_group(program, golden, injections, results,
+                                    slot);
           };
     }
     // Density hints for snapshot placement: the ids still owed are exactly
@@ -363,7 +372,8 @@ CheckpointRunResult run_campaign_checkpointed(
     std::optional<ExecutedChunk> chunk = executor->next(options.should_stop);
     if (!chunk) break;
     ++finished;
-    if (first) first->settle(chunk->records, chunk->keep);
+    GroupCounts groups;
+    if (first) groups = first->settle(chunk->records, chunk->keep);
     result.executed += chunk->records.size();
     std::vector<std::pair<std::string, double>> args;
     if (traced) {
@@ -371,13 +381,18 @@ CheckpointRunResult run_campaign_checkpointed(
                         static_cast<double>(chunk->records.size()));
       telemetry::MetricsRegistry& metrics = traced->metrics();
       metrics.counter("checkpoint.experiments").add(chunk->records.size());
-      // The executors that fold are the ones that fast-forward.
+      // The executors that fold are the ones that fast-forward, and the
+      // ones that run lane groups.
       if (first) {
         const auto [run, skipped] = count_steps(golden, chunk->records);
         args.emplace_back("steps_run", static_cast<double>(run));
         args.emplace_back("steps_skipped", static_cast<double>(skipped));
+        args.emplace_back("lane_groups", static_cast<double>(groups.groups));
+        args.emplace_back("lanes", static_cast<double>(groups.lanes));
         metrics.counter("checkpoint.steps_run").add(run);
         metrics.counter("checkpoint.steps_skipped").add(skipped);
+        metrics.counter("checkpoint.lane_groups").add(groups.groups);
+        metrics.counter("checkpoint.lanes").add(groups.lanes);
       }
     }
     // Frame k-1 is durable and chunk k-1 reported before frame k can reach

@@ -27,6 +27,14 @@
 // site below the frontier; with descending order that is only the sites of
 // the chunk in flight.
 //
+// Folders run *lane groups*: up to four consecutive owed ids that start at
+// the same golden state, run through one kernel pass
+// (fi::run_injected_group) when the program has a lane body.  A group's
+// masked lanes fold together: each lane's values below the frontier take
+// the settled or interval path one by one, and at and above it one
+// vertical max over the lanes goes into the partial.  Max is exact in any
+// order, so a group folds exactly what its experiments fold one at a time.
+//
 // Folders are the in-process pool's tasks or the supervised pool's forked
 // workers.  Each folds into a private partial in one shared anonymous
 // mapping, so a forked worker's folds are visible to the runner; partials
@@ -60,6 +68,13 @@ struct FirstPassStats {
   std::uint64_t interval_values = 0;  ///< of those, values at sites not yet
                                       ///< settled (the interval path)
   std::uint64_t discarded_chunks = 0; ///< chunks whose partials were dropped
+};
+
+/// Lane groups the folders of one chunk ran (FirstPass::settle): `lanes`
+/// experiments in `groups` kernel passes.
+struct GroupCounts {
+  std::uint64_t groups = 0;
+  std::uint64_t lanes = 0;
 };
 
 /// The merged evidence of a first pass (FirstPass::finish), consumed by
@@ -132,7 +147,25 @@ class FirstPass {
                            const fi::Injection& injection,
                            std::size_t folder);
 
-  /// Runs `ids` on `pool` with one folder per task; records in `ids` order.
+  /// The lane group at the front of `injections`: its leading classic
+  /// injections, at most fi::kLanes, that start at the same golden state
+  /// -- or just the first, when the program has no lane body.
+  std::size_t group_size(const fi::Program& program,
+                         const fi::GoldenRun& golden,
+                         std::span<const fi::Injection> injections) const;
+
+  /// Runs the lane group at the front of `injections` (group_size) in one
+  /// kernel pass, writes each experiment's result -- identical to
+  /// run_injected's -- to the front of `results`, folds the masked ones
+  /// into folder `folder`'s partial, and returns the group's size.
+  /// Callable from pool threads and forked workers.
+  std::size_t run_group(const fi::Program& program, const fi::GoldenRun& golden,
+                        std::span<const fi::Injection> injections,
+                        std::span<fi::ExperimentResult> results,
+                        std::size_t folder);
+
+  /// Runs `ids` on `pool`, each task claiming one lane group at a time
+  /// with its own folder; records in `ids` order.
   std::vector<ExperimentRecord> run_chunk(const fi::Program& program,
                                           const fi::GoldenRun& golden,
                                           std::span<const ExperimentId> ids,
@@ -141,8 +174,9 @@ class FirstPass {
   /// Ends a chunk whose records are final: merges the partials (`keep`) or
   /// drops them, then settles the sites whose last owed record this was --
   /// resolving their interval slots and publishing their cutoffs -- and
-  /// publishes the new frontier.
-  void settle(std::span<const ExperimentRecord> chunk, bool keep);
+  /// publishes the new frontier.  Returns the lane groups the chunk ran
+  /// (none counted when its partials are dropped).
+  GroupCounts settle(std::span<const ExperimentRecord> chunk, bool keep);
 
   /// The merged evidence.  Sites still owed records (a stopped run) are
   /// resolved against the records seen.  The engine is spent afterwards.
@@ -153,6 +187,12 @@ class FirstPass {
   struct Partial;
   Partial partial(std::size_t folder) const noexcept;
   void fold(std::uint64_t site, Partial& part) const noexcept;
+  void fold_group(std::span<const fi::Injection> injections,
+                  const fi::GroupResults& results,
+                  Partial& part) const noexcept;
+  std::uint64_t fold_below(std::uint64_t begin, std::uint64_t end,
+                           const double* diffs, std::size_t stride,
+                           std::ptrdiff_t top, Partial& part) const noexcept;
   void resolve_site(std::uint64_t site);
 
   std::size_t sites_;

@@ -55,13 +55,16 @@ void put_record(util::BinaryWriter& writer, const ExperimentRecord& record) {
 }
 
 /// Appends a CRC-32 of everything written so far, stored as a u64 so the
-/// encoding stays 8-byte framed.
-std::string seal(util::BinaryWriter& writer) {
+/// encoding stays 8-byte framed, and hands the bytes over.
+std::vector<std::uint8_t> seal(util::BinaryWriter& writer) {
   const std::uint32_t crc =
       util::crc32(writer.buffer().data(), writer.buffer().size());
   writer.put_u64(crc);
-  return {reinterpret_cast<const char*>(writer.buffer().data()),
-          writer.buffer().size()};
+  return writer.take();
+}
+
+std::string to_string(const std::vector<std::uint8_t>& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 /// Decodes record `index` into `record`.  Returns a diagnosis for a value
@@ -238,7 +241,9 @@ std::vector<ExperimentId> CampaignLog::ids() const {
   return out;
 }
 
-std::string CampaignLog::serialize() const {
+std::string CampaignLog::serialize() const { return to_string(image()); }
+
+std::vector<std::uint8_t> CampaignLog::image() const {
   util::BinaryWriter writer;
   writer.reserve(5 * 8 + config_key_.size() + records_.size() * kRecordBytes);
   writer.put_u64(kMagic);
@@ -254,7 +259,7 @@ std::string encode_journal_header(const std::string& config_key) {
   writer.put_u64(kMagic);
   writer.put_u64(kJournalVersion);
   writer.put_string(config_key);
-  return seal(writer);
+  return to_string(seal(writer));
 }
 
 std::string encode_journal_frame(std::span<const ExperimentRecord> records) {
@@ -262,7 +267,7 @@ std::string encode_journal_frame(std::span<const ExperimentRecord> records) {
   writer.reserve(2 * 8 + records.size() * kRecordBytes);
   writer.put_u64(records.size());
   for (const ExperimentRecord& record : records) put_record(writer, record);
-  return seal(writer);
+  return to_string(seal(writer));
 }
 
 std::optional<CampaignLog> CampaignLog::deserialize(const std::string& payload,
@@ -304,7 +309,7 @@ bool CampaignLog::save(const std::string& path) const {
   // Durable publish (tmp + fsync + rename + parent-dir fsync): a finished
   // journal is what the boundary is built from, so it must survive a
   // crash, not just a concurrent reader.
-  return util::write_file_durable(path, serialize());
+  return util::write_file_durable(path, image());
 }
 
 std::optional<CampaignLog> CampaignLog::load(const std::string& path,

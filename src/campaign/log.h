@@ -88,6 +88,9 @@ class CampaignLog {
   /// frame and, when `torn_frames` is non-null, stores how many it dropped
   /// (0 or 1) there.  Records load in file order, duplicates included.
   std::string serialize() const;
+  /// The v3 image serialize() returns, as the encoder's own buffer: no
+  /// copy on the way to the file.
+  std::vector<std::uint8_t> image() const;
   static std::optional<CampaignLog> deserialize(
       const std::string& payload, std::string* error = nullptr,
       std::uint64_t* torn_frames = nullptr);

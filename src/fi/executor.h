@@ -3,6 +3,7 @@
 // Programs, so outcome classification is centralised here.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -71,6 +72,24 @@ ExperimentResult classify_finished(const Program& program,
 /// CrashSignal counterpart of classify_finished.
 ExperimentResult classify_crash(const Tracer& tracer,
                                 std::uint64_t crash_site) noexcept;
+
+/// True when `program` has a lane body (Program::run_lanes).
+bool has_lane_body(const Program& program);
+
+/// The results of a lane group, lane by lane.
+using GroupResults = std::array<ExperimentResult, kLanes>;
+
+/// Runs 1..kLanes trace-target injections as one lane group and returns,
+/// for lane l, what run_injected(injections[l]) -- or, with `diffs`,
+/// run_injected_compare -- returns.  The group starts at the golden state
+/// of its lowest site.  With `diffs` (golden.trace.size() * kLanes doubles)
+/// it writes lane l's propagated error |x_i' - x_i| to diffs[i * kLanes +
+/// l] for every i at or after its site; it zeroes nothing, and entries
+/// below a lane's site are unspecified.  A program without a lane body (or
+/// sharded) runs each injection on its own, with the same results.
+GroupResults run_injected_group(const Program& program, const GoldenRun& golden,
+                                std::span<const Injection> injections,
+                                std::span<double> diffs = {});
 
 /// As run_injected, but also captures the propagated absolute error
 /// |x_i' - x_i| into diffs[i] for i >= injection.site.  `diffs` must have

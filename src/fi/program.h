@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,17 @@ class Program {
   /// body written as a template over its stepper can run on the one
   /// `tracer.with_stepper()` compiles for the tracer's mode (fi/tracer.h).
   virtual std::vector<double> run(Tracer& tracer) const = 0;
+
+  /// The lane body: runs the group's experiments side by side through one
+  /// pass of the body over fi::Lanes -- `group.with_stepper(...)`, the
+  /// counterpart of `tracer.with_stepper()` -- and returns the output
+  /// lanes.  Lane l must compute exactly what run() computes for
+  /// experiment l.  nullopt, the default, when the program has none: each
+  /// experiment then runs on its own (fi::run_injected_group).
+  virtual std::optional<std::vector<Lanes>> run_lanes(LaneGroup& group) const {
+    (void)group;
+    return std::nullopt;
+  }
 
   /// The acceptance tolerance for this program's output (paper: the
   /// "acceptable tolerance level defined by the domain user").

@@ -402,13 +402,16 @@ static_assert(std::is_trivially_copyable_v<Injection>,
 constexpr std::uint32_t kShutdownCommand = 0xffffffffu;
 
 /// Per-worker shared region header.  `heartbeat` is a monotonic liveness
-/// counter (bumped at chunk pickup and every experiment start/finish);
-/// `started`/`done` are chunk-relative progress counters with the same
-/// semantics as the per-batch ShmHeader.
+/// counter (bumped at chunk pickup and every experiment -- or group --
+/// start/finish); `started`/`done` are chunk-relative progress counters
+/// with the same semantics as the per-batch ShmHeader; `busy_ns` is how
+/// long the worker spent on its last chunk, written before the chunk's
+/// final done-store.
 struct PoolShmHeader {
   std::atomic<std::uint64_t> heartbeat;
   std::atomic<std::uint64_t> started;
   std::atomic<std::uint64_t> done;
+  std::atomic<std::uint64_t> busy_ns;
 };
 
 /// One worker's shared mapping: header + injection slots + result slots.
@@ -515,27 +518,46 @@ bool write_full_nosigpipe(int fd, const void* buffer, std::size_t bytes) {
     server.reset();  // reap the runner: no zombies charged to this worker
     ::_exit(0);
   };
+  const bool grouped = server == nullptr && options.run_group != nullptr;
+  std::vector<ExperimentResult> results(capacity);
   for (;;) {
     std::uint32_t count = 0;
     if (!read_full(command_fd, &count, sizeof(count))) clean_exit();
     if (count == kShutdownCommand || count == 0 || count > capacity) {
       clean_exit();
     }
+    const auto picked_up = std::chrono::steady_clock::now();
     shm.header->heartbeat.fetch_add(1, std::memory_order_release);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    for (std::uint32_t i = 0; i < count;) {
       shm.header->started.store(i + 1, std::memory_order_release);
       shm.header->heartbeat.fetch_add(1, std::memory_order_release);
+      std::size_t ran = 1;
       try {
-        const ExperimentResult result =
-            server != nullptr ? server->run(shm.injections[i])
-            : options.run_experiment
-                ? options.run_experiment(shm.injections[i], slot)
-                : run_injected(program, golden, shm.injections[i]);
-        encode_slot(shm.slots[i], result);
+        if (grouped) {
+          ran = options.run_group(
+              std::span<const Injection>(shm.injections + i, count - i),
+              std::span<ExperimentResult>(results).subspan(i), slot);
+        } else {
+          results[i] = server != nullptr
+                           ? server->run(shm.injections[i])
+                           : run_injected(program, golden, shm.injections[i]);
+        }
       } catch (...) {
         ::_exit(2);
       }
-      shm.header->done.store(i + 1, std::memory_order_release);
+      for (std::size_t k = i; k < i + ran; ++k) {
+        encode_slot(shm.slots[k], results[k]);
+      }
+      i += static_cast<std::uint32_t>(ran);
+      if (i == count) {
+        shm.header->busy_ns.store(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - picked_up)
+                    .count()),
+            std::memory_order_relaxed);
+      }
+      shm.header->done.store(i, std::memory_order_release);
       shm.header->heartbeat.fetch_add(1, std::memory_order_release);
     }
     // The final done-store above is the worker's last shared write before
@@ -792,6 +814,8 @@ struct WorkerPool::Impl {
     if (slot.dispatch_ns != 0) {
       metrics.histogram("pool.chunk_round_trip_ns")
           .record(options.telemetry->now_ns() - slot.dispatch_ns);
+      metrics.histogram("pool.chunk_busy_ns")
+          .record(slot.shm.header->busy_ns.load(std::memory_order_relaxed));
     }
   }
 

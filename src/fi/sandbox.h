@@ -163,13 +163,20 @@ struct WorkerPoolOptions {
   /// Checkpoint cadence/watchdog for the per-worker snapshot trees.
   SnapshotOptions snapshot;
 
-  /// Runs one experiment inside a worker in place of run_injected();
-  /// `slot` is the worker's stable slot index.  It must classify exactly as
-  /// run_injected() does.  Checkpointed campaigns use it to fold propagation
-  /// evidence into a per-slot shared-memory partial (campaign/evidence.h).
-  /// Ignored in snapshot mode.
-  std::function<ExperimentResult(const Injection&, std::size_t slot)>
-      run_experiment;
+  /// Runs experiments inside a worker in place of run_injected(): given
+  /// the chunk's injections from the next one on, it runs a group from
+  /// their front (at least one), writes their results to the front of
+  /// `results`, and returns the group's size; `slot` is the worker's stable
+  /// slot index.  Each result must classify exactly as run_injected()
+  /// does.  The worker advances started/done and its heartbeat per group,
+  /// so a death mid-group charges the group's first experiment and
+  /// requeues the rest uncharged.  Checkpointed campaigns use it to run
+  /// lane groups and fold their propagation evidence into a per-slot
+  /// shared-memory partial (campaign/evidence.h).  Ignored in snapshot
+  /// mode.
+  std::function<std::size_t(std::span<const Injection>,
+                            std::span<ExperimentResult>, std::size_t slot)>
+      run_group;
 
   /// Testing seam: the first N fork attempts fail as if fork() returned
   /// EAGAIN, without forking.  Lets tests drive the degradation path
@@ -185,7 +192,9 @@ struct WorkerPoolOptions {
   /// Optional telemetry sink (telemetry/events.h).  When non-null and
   /// enabled, the pool emits worker.spawn / worker.respawn spans,
   /// worker.death / worker.hang instants, and pool.* counters plus
-  /// heartbeat-gap and chunk-round-trip histograms.  Never owned; must
+  /// heartbeat-gap, chunk-round-trip and chunk-busy histograms (the busy
+  /// time is what the worker spent running the chunk; the rest of the
+  /// round trip is dispatch).  Never owned; must
   /// outlive the pool.  nullptr (the default) costs one pointer test per
   /// instrumentation point.
   telemetry::Telemetry* telemetry = nullptr;

@@ -20,10 +20,17 @@
 // A kernel written as a template over its *stepper* (anything with step(),
 // phase() and touch(), Tracer included) can run on a stepper compiled for
 // one mode: Tracer::with_stepper() hands an Inject or Compare run a
-// ModeStepper that inlines that mode's rules, with no per-step mode switch
+// LaneStepper that inlines that mode's rules, with no per-step mode switch
 // and no checkpoint-hook check, and runs every other tracer as itself.
 // Both paths execute the same FaultState rules, so they produce the same
 // values, crashes and diffs.
+//
+// Lane groups: a body written over its stepper's *value type* (double, or
+// fi::Lanes; fi/lanes.h) also runs up to four trace-target experiments in
+// one pass.  A LaneGroup hands it a LaneStepper over Lanes, which applies
+// the same FaultState rules to each lane: each lane fires at its own site,
+// traps on its own, and writes its own Compare diffs.  The one-experiment
+// stepper is the same template over double.
 //
 // Golden fast-forward: such a body may also split itself into *stages*
 // (stage()), naming at the start of each the live values later stages
@@ -36,6 +43,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -48,6 +56,7 @@
 #include <vector>
 
 #include "fi/fpbits.h"
+#include "fi/lanes.h"
 
 namespace ftb::fi {
 
@@ -75,10 +84,12 @@ struct GoldenState {
   std::uint32_t stage = 0;        // the stage's number, in program order
   std::vector<double> values;
 
-  /// Copies `values` back into `live`, the spans the stage named.
-  void restore(std::initializer_list<std::span<double>> live) const noexcept {
+  /// Copies `values` back into `live`, the spans the stage named; a lane
+  /// group's spans get each value in every lane.
+  template <typename V>
+  void restore(std::initializer_list<std::span<V>> live) const noexcept {
     auto from = values.begin();
-    for (const std::span<double> span : live) {
+    for (const std::span<V> span : live) {
       assert(values.end() - from >= static_cast<std::ptrdiff_t>(span.size()));
       std::copy_n(from, span.size(), span.begin());
       from += static_cast<std::ptrdiff_t>(span.size());
@@ -169,9 +180,84 @@ struct Injection {
   }
 };
 
-class Tracer {
-  struct FaultState;
+/// One run's position and fault state -- or one lane's, in a lane group --
+/// and the Inject/Compare rules each of its steps obeys.  Tracer::step,
+/// Tracer::touch and LaneStepper all call these functions: the rules are
+/// written once.
+struct FaultState {
+  /// fire_site of a memory-target fault: no step index reaches it.
+  static constexpr std::uint64_t kNoSite = ~std::uint64_t{0};
 
+  std::uint64_t index = 0;            // next dynamic-instruction index
+  std::uint64_t fire_site = kNoSite;  // trace-target site, else kNoSite
+  std::uint32_t touch_index = 0;      // next touch() call
+  bool fired = false;
+  double injected_error = 0.0;
+  double original_value = 0.0;
+  Injection injection{};
+
+  void arm(const Injection& next) noexcept {
+    injection = next;
+    fire_site = next.is_memory_fault() ? kNoSite : next.site;
+    fired = false;
+    injected_error = 0.0;
+    original_value = 0.0;
+  }
+
+  /// Inject rule for the value produced at `idx`: a trace-target fault
+  /// fires at its site; once any fault has fired, a non-finite value
+  /// traps.
+  double inject(double v, std::uint64_t idx) {
+    if (idx == fire_site) [[unlikely]] v = fire(v);
+    if (traps(v)) [[unlikely]] throw CrashSignal{idx};
+    return v;
+  }
+
+  /// Trap rule: after the firing, a non-finite value traps.
+  bool traps(double v) const noexcept { return fired && !std::isfinite(v); }
+
+  /// Corrupts the value at the trace-target site.  A non-finite corrupted
+  /// value has injected error +inf, and traps.
+  double fire(double v) noexcept {
+    fired = true;
+    original_value = v;
+    const double corrupted = injection.apply(v);
+    injected_error = std::isfinite(corrupted)
+                         ? std::fabs(corrupted - v)
+                         : std::numeric_limits<double>::infinity();
+    return corrupted;
+  }
+
+  /// Compare rule: from the firing on, diffs[idx] = |v - golden[idx]|.
+  void compare(double v, std::uint64_t idx, std::span<const double> golden,
+               std::span<double> diffs) const noexcept {
+    if (fired && idx < diffs.size()) diffs[idx] = std::fabs(v - golden[idx]);
+  }
+
+  /// Memory-target rule: corrupts the injection's word of the matching
+  /// touch() span in place.  Returns true when it fired.
+  bool touch(std::span<double> data) noexcept {
+    const std::uint32_t point = touch_index++;
+    if (!injection.is_memory_fault() || fired ||
+        point != injection.touch_point || injection.site >= data.size()) {
+      return false;
+    }
+    double& word = data[injection.site];
+    fired = true;
+    original_value = word;
+    const double corrupted = injection.apply(word);
+    injected_error = std::isfinite(corrupted)
+                         ? std::fabs(corrupted - word)
+                         : std::numeric_limits<double>::infinity();
+    word = corrupted;
+    return true;
+  }
+};
+
+template <typename V, bool kCompare>
+class LaneStepper;
+
+class Tracer {
  public:
   /// Sentinel for "no checkpoint armed" (see arm_checkpoint_hook).
   static constexpr std::uint64_t kNoCheckpoint = ~std::uint64_t{0};
@@ -345,17 +431,17 @@ class Tracer {
   // ---- Mode-specialized stepping -------------------------------------------
   // Kernels write their body once, as a template over a stepper, and run it
   // through with_stepper() once per run.  Trace- and memory-target Inject
-  // and Compare runs -- every campaign experiment -- get a ModeStepper that
-  // inlines that mode's FaultState rules and starts at the tracer's golden
-  // state, if any; every other tracer (Count, the golden Record run, stream
-  // comparison, an armed snapshot checkpoint hook) runs the body on the
-  // Tracer itself, from instruction 0.  Sharded kernels (threads > 1) call
-  // the body on the Tracer directly: Tracer::Shard needs the tracer.
+  // and Compare runs -- every campaign experiment -- get a one-lane
+  // LaneStepper that inlines that mode's FaultState rules and starts at the
+  // tracer's golden state, if any; every other tracer (Count, the golden
+  // Record run, stream comparison, an armed snapshot checkpoint hook) runs
+  // the body on the Tracer itself, from instruction 0.  Sharded kernels
+  // (threads > 1) call the body on the Tracer directly: Tracer::Shard needs
+  // the tracer.
 
-  template <bool kCompare>
-  class ModeStepper;
-  using InjectStepper = ModeStepper<false>;
-  using CompareStepper = ModeStepper<true>;
+  using value_type = double;
+  using InjectStepper = LaneStepper<double, false>;
+  using CompareStepper = LaneStepper<double, true>;
 
   /// Runs `body(stepper)` once, on the stepper compiled for this tracer's
   /// mode (see above), and returns what the body returns.  The tracer's
@@ -545,76 +631,6 @@ class Tracer {
     kCompareStream,
   };
 
-  /// One run's position and fault state, and the Inject/Compare rules each
-  /// of its steps obeys.  Tracer::step, Tracer::touch and ModeStepper all
-  /// call these functions: the rules are written once.
-  struct FaultState {
-    /// fire_site of a memory-target fault: no step index reaches it.
-    static constexpr std::uint64_t kNoSite = ~std::uint64_t{0};
-
-    std::uint64_t index = 0;            // next dynamic-instruction index
-    std::uint64_t fire_site = kNoSite;  // trace-target site, else kNoSite
-    std::uint32_t touch_index = 0;      // next touch() call
-    bool fired = false;
-    double injected_error = 0.0;
-    double original_value = 0.0;
-    Injection injection{};
-
-    void arm(const Injection& next) noexcept {
-      injection = next;
-      fire_site = next.is_memory_fault() ? kNoSite : next.site;
-      fired = false;
-      injected_error = 0.0;
-      original_value = 0.0;
-    }
-
-    /// Inject rule for the value produced at `idx`: a trace-target fault
-    /// fires at its site; once any fault has fired, a non-finite value
-    /// traps.
-    double inject(double v, std::uint64_t idx) {
-      if (idx == fire_site) [[unlikely]] return fire(v, idx);
-      if (fired && !std::isfinite(v)) [[unlikely]] throw CrashSignal{idx};
-      return v;
-    }
-
-    /// Compare rule: from the firing on, diffs[idx] = |v - golden[idx]|.
-    void compare(double v, std::uint64_t idx, std::span<const double> golden,
-                 std::span<double> diffs) const noexcept {
-      if (fired && idx < diffs.size()) diffs[idx] = std::fabs(v - golden[idx]);
-    }
-
-    /// Memory-target rule: corrupts the injection's word of the matching
-    /// touch() span in place.
-    void touch(std::span<double> data) noexcept {
-      const std::uint32_t point = touch_index++;
-      if (injection.is_memory_fault() && !fired &&
-          point == injection.touch_point && injection.site < data.size()) {
-        double& word = data[injection.site];
-        fired = true;
-        original_value = word;
-        const double corrupted = injection.apply(word);
-        injected_error = std::isfinite(corrupted)
-                             ? std::fabs(corrupted - word)
-                             : std::numeric_limits<double>::infinity();
-        word = corrupted;
-      }
-    }
-
-    /// Corrupts the value at the trace-target site; a non-finite corrupted
-    /// value traps at once.
-    double fire(double v, std::uint64_t idx) {
-      fired = true;
-      original_value = v;
-      const double corrupted = injection.apply(v);
-      if (!std::isfinite(corrupted)) {
-        injected_error = std::numeric_limits<double>::infinity();
-        throw CrashSignal{idx};
-      }
-      injected_error = std::fabs(corrupted - v);
-      return corrupted;
-    }
-  };
-
   explicit Tracer(Mode mode) noexcept : mode_(mode) {}
 
   Mode mode_;
@@ -633,48 +649,171 @@ class Tracer {
   StreamHooks hooks_{};
 };
 
-/// The stepper with_stepper() compiles for an Inject (kCompare = false) or
-/// a Compare run.  It copies the tracer's FaultState in, runs FaultState's
-/// rules inline, and writes the state back when it goes out of scope --
-/// when the kernel body returns and when a CrashSignal unwinds it -- so
-/// classify_finished / classify_crash read the tracer exactly as after a
-/// run that stepped the Tracer itself.  Given the tracer's golden state, it
-/// starts at that state's step and touch counts and skips the stages
-/// before it.
-template <bool kCompare>
-class Tracer::ModeStepper {
- public:
-  explicit ModeStepper(Tracer& home) noexcept
-      : home_(home),
-        state_(home.state_),
-        start_(home.start_),
-        golden_(home.golden_),
-        diffs_(home.diffs_) {
-    if (start_ != nullptr) {
-      state_.index = start_->index;
-      state_.touch_index = start_->touch_index;
-      home.started_at_ = start_->index;
-      home.start_ = nullptr;  // a run starts late once
+/// The fault state of the lanes of one run on a LaneStepper: each lane's
+/// FaultState and crash site, and which lanes have fired and trapped.  It
+/// lives outside the stepper, so the stepper's own hot state -- its step
+/// index -- stays in registers while the kernel body runs.  Given `home`,
+/// the run writes each lane's FaultState back there when it ends.
+template <std::size_t kWidth>
+struct LaneFaults {
+  static constexpr std::uint64_t kNoCrash = ~std::uint64_t{0};
+
+  std::array<FaultState, kWidth> lanes{};
+  std::array<std::uint64_t, kWidth> crash_site{};  // the step it trapped at
+  std::size_t used = 0;  // lanes that carry an experiment
+  unsigned armed = 0;    // lanes that fired and have not trapped
+  unsigned live = 0;     // lanes that have not trapped
+  FaultState* home = nullptr;
+
+  /// `used` lanes armed with `lane(l)`.
+  template <typename Lane>
+  LaneFaults(std::size_t count, Lane&& lane, FaultState* to = nullptr) noexcept
+      : used(count), live((1u << count) - 1), home(to) {
+    crash_site.fill(kNoCrash);
+    for (std::size_t l = 0; l < used; ++l) {
+      lanes[l] = lane(l);
+      if (lanes[l].fired) armed |= 1u << l;
     }
   }
-  ~ModeStepper() { home_.state_ = state_; }
-  ModeStepper(const ModeStepper&) = delete;
-  ModeStepper& operator=(const ModeStepper&) = delete;
 
-  [[gnu::always_inline]] double step(double v) {
-    const std::uint64_t idx = state_.index++;
-    v = state_.inject(v, idx);
-    if constexpr (kCompare) state_.compare(v, idx, golden_, diffs_);
+  /// The lowest site of a lane that has not fired yet.
+  std::uint64_t next_fire() const noexcept {
+    std::uint64_t next = FaultState::kNoSite;
+    for (std::size_t l = 0; l < used; ++l) {
+      if (!lanes[l].fired) next = std::min(next, lanes[l].fire_site);
+    }
+    return next;
+  }
+
+  /// Fires every lane whose site is `idx` (FaultState::fire).
+  template <typename V>
+  V fire(V v, std::uint64_t idx) noexcept {
+    for (std::size_t l = 0; l < used; ++l) {
+      if (lanes[l].fired || lanes[l].fire_site != idx) continue;
+      set_lane(v, l, lanes[l].fire(lane_of(v, l)));
+      armed |= 1u << l;
+    }
+    return v;
+  }
+
+  /// Some lane of `v` is not finite: the fired ones among them trap at
+  /// `idx` (FaultState::traps), and the run stops -- CrashSignal -- once
+  /// no lane is left.  A trapped lane's values are dead: they are zeroed
+  /// when they go non-finite, so that the stepper's one test per step
+  /// keeps reading the live lanes only.
+  template <typename V>
+  [[gnu::noinline]] V trap(V v, std::uint64_t idx) {
+    const unsigned nonfinite = nonfinite_lanes(v);
+    const unsigned bad = nonfinite & armed;
+    for (std::size_t l = 0; l < used; ++l) {
+      if ((bad >> l & 1u) != 0) crash_site[l] = idx;
+    }
+    armed &= ~bad;
+    live &= ~bad;
+    if (live == 0) throw CrashSignal{idx};
+    for (std::size_t l = 0; l < kWidth; ++l) {
+      if ((nonfinite >> l & 1u) != 0 && (live >> l & 1u) == 0) {
+        set_lane(v, l, 0.0);
+      }
+    }
+    return v;
+  }
+
+  /// Ends the run at step `index` and touch call `touch_index`.
+  void finish(std::uint64_t index, std::uint32_t touch_index) noexcept {
+    for (std::size_t l = 0; l < used; ++l) {
+      lanes[l].index = index;
+      lanes[l].touch_index = touch_index;
+      if (home != nullptr) home[l] = lanes[l];
+    }
+  }
+};
+
+/// The stepper compiled for an Inject (kCompare = false) or a Compare run
+/// of one experiment (V = double, Tracer::with_stepper) or of a lane group
+/// (V = Lanes, LaneGroup::with_stepper).  It runs FaultState's rules
+/// inline on every lane of `faults` and ends the run there when it goes
+/// out of scope -- when the kernel body returns and when a CrashSignal
+/// unwinds it -- so the executor reads each lane exactly as after a run
+/// that stepped the Tracer itself.
+///
+/// Each lane fires at its own site and traps on its own: it records its
+/// crash site and from then on affects nothing else.  The run throws
+/// CrashSignal only once every lane has trapped -- at once, for one lane.
+/// Compare mode writes |x_i' - x_i| of every lane, interleaved by lane
+/// (diffs[i * lanes + l]), from the first firing on; a lane that has not
+/// fired yet holds golden values, so its entries there are exact zeros.
+/// Given a golden state, the stepper starts at its step and touch counts
+/// and skips the stages before it; memory-target faults are single-lane
+/// only.
+template <typename V, bool kCompare>
+class LaneStepper {
+ public:
+  using value_type = V;
+  static constexpr std::size_t kWidth = lane_count<V>;
+
+  /// `diffs`: golden.size() * kWidth doubles for a Compare run.
+  LaneStepper(LaneFaults<kWidth>& faults, const GoldenState* start,
+              std::span<const double> golden, std::span<double> diffs) noexcept
+      : faults_(&faults),
+        index_(start != nullptr ? start->index : faults.lanes[0].index),
+        next_fire_(faults.next_fire()),
+        fired_(faults.armed != 0),
+        start_(start),
+        golden_(golden.data()),
+        diffs_(diffs.data()),
+        sites_(diffs.size() / kWidth) {
+    assert(faults.used >= 1 && faults.used <= kWidth);
+    if (start_ != nullptr) faults.lanes[0].touch_index = start_->touch_index;
+  }
+  ~LaneStepper() { faults_->finish(index_, faults_->lanes[0].touch_index); }
+  LaneStepper(const LaneStepper&) = delete;
+  LaneStepper& operator=(const LaneStepper&) = delete;
+
+  [[gnu::always_inline]] V step(V v) {
+    const std::uint64_t idx = index_++;
+    if (idx == next_fire_) [[unlikely]] {
+      v = faults_->fire(v, idx);
+      // One lane's site is behind it now: the index never meets it again.
+      if constexpr (kWidth > 1) next_fire_ = faults_->next_fire();
+      fired_ = true;
+    }
+    if (any_nonfinite(v)) [[unlikely]] {
+      if constexpr (kWidth == 1) {
+        // One lane: a fired lane's trap ends the run, so the hot path never
+        // resumes from a call (and keeps its index in a register).
+        if (faults_->armed != 0) {
+          faults_->trap(v, idx);
+          __builtin_unreachable();
+        }
+      } else {
+        v = faults_->trap(v, idx);
+      }
+    }
+    if constexpr (kCompare) {
+      if (fired_ && idx < sites_) [[likely]] {
+        store_lanes(abs_lanes(v - V(golden_[idx])), diffs_ + idx * kWidth);
+      }
+    }
     return v;
   }
 
   /// Only the golden run's recorder keeps phases.
   void phase(std::string_view) const noexcept {}
 
-  void touch(std::span<double> data) noexcept { state_.touch(data); }
+  void touch(std::span<V> data) noexcept {
+    if constexpr (kWidth == 1) {
+      if (faults_->lanes[0].touch(data)) {
+        faults_->armed = 1;
+        fired_ = true;
+      }
+    } else {
+      ++faults_->lanes[0].touch_index;  // memory-target faults: one lane
+    }
+  }
 
   /// Skips the stages before the start state and restores `live` at it.
-  bool stage(std::initializer_list<std::span<double>> live) noexcept {
+  bool stage(std::initializer_list<std::span<V>> live) noexcept {
     const std::uint32_t number = next_stage_++;
     if (start_ == nullptr || number > start_->stage) return true;
     if (number < start_->stage) return false;
@@ -683,27 +822,93 @@ class Tracer::ModeStepper {
   }
 
  private:
-  Tracer& home_;
-  FaultState state_;
+  LaneFaults<kWidth>* faults_;
+  std::uint64_t index_;
+  std::uint64_t next_fire_;  // lowest site of a lane not fired yet
+  bool fired_;               // some lane fired: Compare writes from here on
   std::uint32_t next_stage_ = 0;
   const GoldenState* start_;
-  std::span<const double> golden_;
-  std::span<double> diffs_;
+  const double* golden_;
+  double* diffs_;
+  std::size_t sites_;
 };
 
 template <typename Body>
 auto Tracer::with_stepper(Body&& body) {
-  if (next_checkpoint_ == kNoCheckpoint) {
+  if (next_checkpoint_ == kNoCheckpoint &&
+      (mode_ == Mode::kInject || mode_ == Mode::kCompare)) {
+    const GoldenState* start = start_;
+    start_ = nullptr;  // a run starts late once
+    if (start != nullptr) started_at_ = start->index;
+    LaneFaults<1> faults(
+        1, [this](std::size_t) { return state_; }, &state_);
     if (mode_ == Mode::kInject) {
-      InjectStepper stepper(*this);
+      InjectStepper stepper(faults, start, {}, {});
       return body(stepper);
     }
-    if (mode_ == Mode::kCompare) {
-      CompareStepper stepper(*this);
-      return body(stepper);
-    }
+    CompareStepper stepper(faults, start, golden_, diffs_);
+    return body(stepper);
   }
   return body(*this);
 }
+
+/// Up to kLanes trace-target experiments run side by side through one pass
+/// of a kernel body over Lanes (Program::run_lanes; fi::run_injected_group
+/// classifies them).  The group starts at `start`, a golden state at or
+/// before its lowest site; a lane whose site is later holds golden values
+/// until it fires.
+class LaneGroup {
+ public:
+  static constexpr std::uint64_t kNoCrash = LaneFaults<kLanes>::kNoCrash;
+
+  /// `injections`: at most kLanes trace-target faults.  `diffs`: empty for
+  /// an Inject run; for a Compare run golden.size() * kLanes doubles, which
+  /// the run writes interleaved by lane (LaneStepper).
+  LaneGroup(std::span<const Injection> injections, const GoldenState* start,
+            std::span<const double> golden = {},
+            std::span<double> diffs = {}) noexcept
+      : faults_(std::min(injections.size(), kLanes),
+                [injections](std::size_t l) {
+                  assert(!injections[l].is_memory_fault());
+                  FaultState lane;
+                  lane.arm(injections[l]);
+                  return lane;
+                }),
+        start_(start),
+        golden_(golden),
+        diffs_(diffs) {}
+
+  /// Runs `body(stepper)` once on the lane stepper for this group's mode
+  /// and returns the output lanes; a group without lanes runs nothing and
+  /// returns {}.
+  template <typename Body>
+  std::vector<Lanes> with_stepper(Body&& body) {
+    if (faults_.used == 0) return {};
+    if (diffs_.empty()) {
+      LaneStepper<Lanes, false> stepper(faults_, start_, {}, {});
+      return body(stepper);
+    }
+    LaneStepper<Lanes, true> stepper(faults_, start_, golden_, diffs_);
+    return body(stepper);
+  }
+
+  std::size_t size() const noexcept { return faults_.used; }
+  /// Lane `l`'s fault state after the run: fired, injected error, ...
+  const FaultState& lane(std::size_t l) const noexcept {
+    return faults_.lanes[l];
+  }
+  /// The step lane `l` trapped at, or kNoCrash.
+  std::uint64_t crash_site(std::size_t l) const noexcept {
+    return faults_.crash_site[l];
+  }
+  /// Dynamic instructions seen, counted from 0 as Tracer::steps() is.
+  std::uint64_t steps() const noexcept { return faults_.lanes[0].index; }
+
+ private:
+  LaneFaults<kLanes> faults_;
+  const GoldenState* start_;
+  std::span<const double> golden_;
+  std::span<double> diffs_;
+};
 
 }  // namespace ftb::fi

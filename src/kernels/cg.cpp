@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "kernels/parallel.h"
 #include "util/rng.h"
@@ -78,33 +79,38 @@ std::vector<double> CgProgram::run(fi::Tracer& t) const {
                   [this](auto& stepper) { return body(stepper); });
 }
 
+std::optional<std::vector<fi::Lanes>> CgProgram::run_lanes(
+    fi::LaneGroup& group) const {
+  if (config_.threads > 1) return std::nullopt;  // sharded runs step alone
+  return group.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
 template <typename Stepper>
-std::vector<double> CgProgram::body(Stepper& t) const {
+std::vector<typename Stepper::value_type> CgProgram::body(Stepper& t) const {
+  using V = typename Stepper::value_type;
   const std::size_t n = unknowns();
   const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
   const auto row_ptr = structure_.row_ptr();
   const auto col_idx = structure_.col_idx();
   const auto ref_values = structure_.values();
 
-  std::vector<double> x(n), r(n), p(n), ap(n);
-  std::vector<double> a_values(ref_values.size());
-  double rr = 0.0;
+  std::vector<V> x(n), r(n), p(n), ap(n);
+  std::vector<V> a_values(ref_values.size());
+  V rr = 0.0;
 
-  const auto matvec_into = [&](const std::vector<double>& in,
-                               std::vector<double>& out) {
+  const auto matvec_into = [&](const std::vector<V>& in, std::vector<V>& out) {
     traced_parallel_for(t, n, threads, [&](std::size_t row, auto& s) {
-      double sum = 0.0;
+      V sum = 0.0;
       for (std::size_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
         sum += a_values[k] * in[col_idx[k]];
       }
       out[row] = s.step(sum);
     });
   };
-  const auto dot = [&](const std::vector<double>& u,
-                       const std::vector<double>& v) {
+  const auto dot = [&](const std::vector<V>& u, const std::vector<V>& v) {
     // Partial sums are untraced and folded in fixed thread order; only the
     // final value passes through the tracer, exactly like the serial path.
-    const double sum = reduced_parallel_sum(
+    const V sum = reduced_parallel_sum(
         n, threads, [&](std::size_t i) { return u[i] * v[i]; });
     return t.step(sum);
   };
@@ -126,7 +132,7 @@ std::vector<double> CgProgram::body(Stepper& t) const {
 
     // --- Phase 1: one-shot setup: right-hand side and operator assembly. --
     t.phase("setup");
-    std::vector<double> b(n);
+    std::vector<V> b(n);
     traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
       b[i] = s.step(rhs_[i]);
     });
@@ -161,16 +167,16 @@ std::vector<double> CgProgram::body(Stepper& t) const {
   for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
     if (!t.stage({x, r, p, {&rr, 1}})) continue;
     matvec_into(p, ap);
-    const double p_ap = dot(p, ap);
-    const double alpha = t.step(rr / p_ap);
+    const V p_ap = dot(p, ap);
+    const V alpha = t.step(rr / p_ap);
     traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
       x[i] = s.step(x[i] + alpha * p[i]);
     });
     traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
       r[i] = s.step(r[i] - alpha * ap[i]);
     });
-    const double rr_next = dot(r, r);
-    const double beta = t.step(rr_next / rr);
+    const V rr_next = dot(r, r);
+    const V beta = t.step(rr_next / rr);
     traced_parallel_for(t, n, threads, [&](std::size_t i, auto& s) {
       p[i] = s.step(r[i] + beta * p[i]);
     });

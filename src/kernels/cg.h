@@ -51,12 +51,15 @@ class CgProgram final : public fi::Program {
   }
 
   std::vector<double> run(fi::Tracer& tracer) const override;
+  std::optional<std::vector<fi::Lanes>> run_lanes(
+      fi::LaneGroup& group) const override;
 
-  /// The kernel, written once over any stepper (fi/tracer.h).  run() calls
-  /// it on the stepper compiled for the tracer's mode, or on the Tracer
-  /// itself; calling it on a Tracer directly always takes the generic path.
+  /// The kernel, written once over any stepper and its value type
+  /// (fi/tracer.h).  run() calls it on the stepper compiled for the
+  /// tracer's mode, or on the Tracer itself; run_lanes() on a lane stepper;
+  /// calling it on a Tracer directly always takes the generic path.
   template <typename Stepper>
-  std::vector<double> body(Stepper& t) const;
+  std::vector<typename Stepper::value_type> body(Stepper& t) const;
 
   /// Recomputed-residual ABFT check (||b - A x|| against the golden run's
   /// converged residual) when CgConfig::detector is set; nullptr otherwise.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <utility>
 
 #include "util/rng.h"
@@ -22,8 +23,8 @@ namespace {
 /// len) are pure functions of the loop indices (program constants, like
 /// literal coefficients), so they are not injection sites themselves; the
 /// *results* of every butterfly are.
-template <typename Stepper>
-void fft_row(Stepper& t, double* re, double* im, std::size_t m,
+template <typename Stepper, typename V = typename Stepper::value_type>
+void fft_row(Stepper& t, V* re, V* im, std::size_t m,
              const double* butterfly_cos, const double* butterfly_sin) {
   // Bit-reversal permutation (index-driven; the moved values are stores).
   for (std::size_t i = 1, j = 0; i < m; ++i) {
@@ -31,8 +32,8 @@ void fft_row(Stepper& t, double* re, double* im, std::size_t m,
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
     if (i < j) {
-      const double tr = re[i];
-      const double ti = im[i];
+      const V tr = re[i];
+      const V ti = im[i];
       re[i] = t.step(re[j]);
       im[i] = t.step(im[j]);
       re[j] = t.step(tr);
@@ -50,10 +51,10 @@ void fft_row(Stepper& t, double* re, double* im, std::size_t m,
         const double s = stage_sin[k];
         const std::size_t lo = base + k;
         const std::size_t hi = lo + half;
-        const double ur = re[lo];
-        const double ui = im[lo];
-        const double vr = re[hi] * c - im[hi] * s;
-        const double vi = re[hi] * s + im[hi] * c;
+        const V ur = re[lo];
+        const V ui = im[lo];
+        const V vr = re[hi] * c - im[hi] * s;
+        const V vi = re[hi] * s + im[hi] * c;
         re[lo] = t.step(ur + vr);
         im[lo] = t.step(ui + vi);
         re[hi] = t.step(ur - vr);
@@ -103,14 +104,20 @@ std::vector<double> FftProgram::run(fi::Tracer& t) const {
   return t.with_stepper([this](auto& stepper) { return body(stepper); });
 }
 
+std::optional<std::vector<fi::Lanes>> FftProgram::run_lanes(
+    fi::LaneGroup& group) const {
+  return group.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
 template <typename Stepper>
-std::vector<double> FftProgram::body(Stepper& t) const {
+std::vector<typename Stepper::value_type> FftProgram::body(Stepper& t) const {
+  using V = typename Stepper::value_type;
   const std::size_t n1 = config_.n1;
   const std::size_t n2 = config_.n2;
   const std::size_t n = n1 * n2;
-  std::vector<double> a_re(n), a_im(n), tw_re(n), tw_im(n);
-  std::vector<double> b_re(n), b_im(n), c_re(n), c_im(n);
-  std::vector<double> out(2 * n);
+  std::vector<V> a_re(n), a_im(n), tw_re(n), tw_im(n);
+  std::vector<V> b_re(n), b_im(n), c_re(n), c_im(n);
+  std::vector<V> out(2 * n);
 
   // Stages (fi/tracer.h) start at every phase and every row FFT.  The input
   // and the twiddle table copy constructor constants, so a run that skips
@@ -122,8 +129,8 @@ std::vector<double> FftProgram::body(Stepper& t) const {
     for (std::size_t i = 0; i < n; ++i) a_re[i] = t.step(signal_re_[i]);
     for (std::size_t i = 0; i < n; ++i) a_im[i] = t.step(signal_im_[i]);
   } else {
-    a_re = signal_re_;
-    a_im = signal_im_;
+    a_re.assign(signal_re_.begin(), signal_re_.end());
+    a_im.assign(signal_im_.begin(), signal_im_.end());
   }
 
   // Twiddle table w_n^m for m in [0, n) (traced; SPLASH-2 precomputes the
@@ -135,8 +142,8 @@ std::vector<double> FftProgram::body(Stepper& t) const {
       tw_im[m] = t.step(table_sin_[m]);
     }
   } else {
-    tw_re = table_cos_;
-    tw_im = table_sin_;
+    tw_re.assign(table_cos_.begin(), table_cos_.end());
+    tw_im.assign(table_sin_.begin(), table_sin_.end());
   }
 
   // Step 1: transpose a (n1 x n2) -> b (n2 x n1).
@@ -164,11 +171,11 @@ std::vector<double> FftProgram::body(Stepper& t) const {
     for (std::size_t j2 = 0; j2 < n2; ++j2) {
       for (std::size_t k1 = 0; k1 < n1; ++k1) {
         const std::size_t m = (j2 * k1) % n;
-        const double wr = tw_re[m];
-        const double wi = tw_im[m];
+        const V wr = tw_re[m];
+        const V wi = tw_im[m];
         const std::size_t idx = j2 * n1 + k1;
-        const double xr = b_re[idx];
-        const double xi = b_im[idx];
+        const V xr = b_re[idx];
+        const V xi = b_im[idx];
         b_re[idx] = t.step(xr * wr - xi * wi);
         b_im[idx] = t.step(xr * wi + xi * wr);
       }

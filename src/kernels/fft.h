@@ -52,11 +52,13 @@ class FftProgram final : public fi::Program {
   /// Output: the interleaved complex spectrum [re0, im0, re1, im1, ...] in
   /// natural frequency order.
   std::vector<double> run(fi::Tracer& tracer) const override;
+  std::optional<std::vector<fi::Lanes>> run_lanes(
+      fi::LaneGroup& group) const override;
 
-  /// The kernel, written once over any stepper (fi/tracer.h); see
-  /// CgProgram::body.
+  /// The kernel, written once over any stepper and its value type
+  /// (fi/tracer.h); see CgProgram::body.
   template <typename Stepper>
-  std::vector<double> body(Stepper& t) const;
+  std::vector<typename Stepper::value_type> body(Stepper& t) const;
 
   const FftConfig& config() const noexcept { return config_; }
 

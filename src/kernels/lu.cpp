@@ -1,6 +1,7 @@
 #include "kernels/lu.h"
 
 #include <cassert>
+#include <optional>
 #include <span>
 
 #include "linalg/dense.h"
@@ -35,13 +36,19 @@ std::vector<double> LuProgram::run(fi::Tracer& t) const {
   return t.with_stepper([this](auto& stepper) { return body(stepper); });
 }
 
+std::optional<std::vector<fi::Lanes>> LuProgram::run_lanes(
+    fi::LaneGroup& group) const {
+  return group.with_stepper([this](auto& stepper) { return body(stepper); });
+}
+
 template <typename Stepper>
-std::vector<double> LuProgram::body(Stepper& t) const {
+std::vector<typename Stepper::value_type> LuProgram::body(Stepper& t) const {
+  using V = typename Stepper::value_type;
   const std::size_t n = config_.n;
   const std::size_t nb = config_.block;
 
-  std::vector<double> a(n * n);
-  const auto at = [&a, n](std::size_t r, std::size_t c) -> double& {
+  std::vector<V> a(n * n);
+  const auto at = [&a, n](std::size_t r, std::size_t c) -> V& {
     return a[r * n + c];
   };
 
@@ -53,7 +60,7 @@ std::vector<double> LuProgram::body(Stepper& t) const {
     t.phase("init");
     for (std::size_t i = 0; i < n * n; ++i) a[i] = t.step(source_[i]);
   } else {
-    a = source_;
+    a.assign(source_.begin(), source_.end());
   }
 
   for (std::size_t k0 = 0; k0 < n; k0 += nb) {
@@ -61,14 +68,13 @@ std::vector<double> LuProgram::body(Stepper& t) const {
 
     // (1) Factor the diagonal block in place (unblocked LU within it).  The
     // first block step starts from the source matrix itself.
-    const std::span<double> live =
-        k0 == 0 ? std::span<double>() : std::span<double>(a);
+    const std::span<V> live = k0 == 0 ? std::span<V>() : std::span<V>(a);
     if (t.stage({live})) {
       t.phase("block " + std::to_string(k0 / nb));
       for (std::size_t k = k0; k < k1; ++k) {
-        const double pivot = at(k, k);
+        const V pivot = at(k, k);
         for (std::size_t i = k + 1; i < k1; ++i) {
-          const double factor = at(i, k) / pivot;
+          const V factor = at(i, k) / pivot;
           at(i, k) = t.step(factor);
           for (std::size_t j = k + 1; j < k1; ++j) {
             at(i, j) = t.step(at(i, j) - factor * at(k, j));
@@ -80,9 +86,9 @@ std::vector<double> LuProgram::body(Stepper& t) const {
     // (2a) Column panel: compute L blocks below the diagonal block.
     if (t.stage({a})) {
       for (std::size_t k = k0; k < k1; ++k) {
-        const double pivot = at(k, k);
+        const V pivot = at(k, k);
         for (std::size_t i = k1; i < n; ++i) {
-          const double factor = at(i, k) / pivot;
+          const V factor = at(i, k) / pivot;
           at(i, k) = t.step(factor);
           for (std::size_t j = k + 1; j < k1; ++j) {
             at(i, j) = t.step(at(i, j) - factor * at(k, j));
@@ -96,7 +102,7 @@ std::vector<double> LuProgram::body(Stepper& t) const {
     if (t.stage({a})) {
       for (std::size_t k = k0; k < k1; ++k) {
         for (std::size_t i = k + 1; i < k1; ++i) {
-          const double factor = at(i, k);
+          const V factor = at(i, k);
           for (std::size_t j = k1; j < n; ++j) {
             at(i, j) = t.step(at(i, j) - factor * at(k, j));
           }
@@ -109,7 +115,7 @@ std::vector<double> LuProgram::body(Stepper& t) const {
     if (t.stage({a})) {
       for (std::size_t i = k1; i < n; ++i) {
         for (std::size_t j = k1; j < n; ++j) {
-          double sum = at(i, j);
+          V sum = at(i, j);
           for (std::size_t k = k0; k < k1; ++k) {
             sum -= at(i, k) * at(k, j);
           }

@@ -44,11 +44,13 @@ class LuProgram final : public fi::Program {
   /// Output: the packed LU factors, row-major (L strictly below the
   /// diagonal with implicit unit diagonal, U on/above it).
   std::vector<double> run(fi::Tracer& tracer) const override;
+  std::optional<std::vector<fi::Lanes>> run_lanes(
+      fi::LaneGroup& group) const override;
 
-  /// The kernel, written once over any stepper (fi/tracer.h); see
-  /// CgProgram::body.
+  /// The kernel, written once over any stepper and its value type
+  /// (fi/tracer.h); see CgProgram::body.
   template <typename Stepper>
-  std::vector<double> body(Stepper& t) const;
+  std::vector<typename Stepper::value_type> body(Stepper& t) const;
 
   const LuConfig& config() const noexcept { return config_; }
 

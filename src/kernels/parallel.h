@@ -87,31 +87,33 @@ void traced_parallel_for(Stepper& tracer, std::size_t count,
 /// Fixed-order parallel reduction: partial sums over the contiguous ranges
 /// run concurrently, then fold in thread order, so the grouping -- and
 /// therefore the rounding -- depends only on `threads`, never on
-/// scheduling.  Returns the *untraced* sum; callers trace the final value
-/// through one step, exactly like the serial reduction does.
+/// scheduling.  Returns the *untraced* sum, of the terms' type (double, or
+/// fi::Lanes in a lane body); callers trace the final value through one
+/// step, exactly like the serial reduction does.
 template <typename Term>
-double reduced_parallel_sum(std::size_t count, std::size_t threads,
-                            Term&& term) {
+auto reduced_parallel_sum(std::size_t count, std::size_t threads,
+                          Term&& term) {
+  using T = decltype(term(std::size_t{0}));
   if (threads <= 1) {
-    double sum = 0.0;
+    T sum = 0.0;
     for (std::size_t i = 0; i < count; ++i) sum += term(i);
     return sum;
   }
   const auto ranges = split_ranges(count, threads);
-  std::vector<double> partial(threads, 0.0);
+  std::vector<T> partial(threads, 0.0);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::size_t th = 0; th < threads; ++th) {
     workers.emplace_back([&ranges, &partial, &term, th] {
       const auto [begin, end] = ranges[th];
-      double sum = 0.0;
+      T sum = 0.0;
       for (std::size_t i = begin; i < end; ++i) sum += term(i);
       partial[th] = sum;
     });
   }
   for (std::thread& worker : workers) worker.join();
-  double sum = 0.0;
-  for (const double p : partial) sum += p;
+  T sum = 0.0;
+  for (const T& p : partial) sum += p;
   return sum;
 }
 

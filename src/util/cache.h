@@ -36,6 +36,8 @@ class BinaryWriter {
   void put_string(const std::string& s);
 
   const std::vector<std::uint8_t>& buffer() const noexcept { return buf_; }
+  /// Hands the encoded bytes over, leaving the writer empty.
+  std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
   std::vector<std::uint8_t> buf_;
