@@ -774,25 +774,18 @@ class LaneStepper {
     const std::uint64_t idx = index_++;
     if (idx == next_fire_) [[unlikely]] {
       v = faults_->fire(v, idx);
-      // One lane's site is behind it now: the index never meets it again.
+      // A single lane's site is behind it now and never met again.
       if constexpr (kWidth > 1) next_fire_ = faults_->next_fire();
       fired_ = true;
     }
-    if (any_nonfinite(v)) [[unlikely]] {
-      if constexpr (kWidth == 1) {
-        // One lane: a fired lane's trap ends the run, so the hot path never
-        // resumes from a call (and keeps its index in a register).
-        if (faults_->armed != 0) {
-          faults_->trap(v, idx);
-          __builtin_unreachable();
+    // Until a lane fires, every lane holds golden values: finite, and no
+    // diff to write.
+    if (fired_) [[likely]] {
+      if (any_nonfinite(v)) [[unlikely]] v = trap(v, idx);
+      if constexpr (kCompare) {
+        if (idx < sites_) {
+          store_lanes(abs_lanes(v - V(golden_[idx])), diffs_ + idx * kWidth);
         }
-      } else {
-        v = faults_->trap(v, idx);
-      }
-    }
-    if constexpr (kCompare) {
-      if (fired_ && idx < sites_) [[likely]] {
-        store_lanes(abs_lanes(v - V(golden_[idx])), diffs_ + idx * kWidth);
       }
     }
     return v;
@@ -822,6 +815,20 @@ class LaneStepper {
   }
 
  private:
+  V trap(V v, std::uint64_t idx) {
+    if constexpr (kWidth == 1) {
+      // One lane: a fired lane's trap ends the run, so the hot path never
+      // resumes from a call (and keeps its index in a register).
+      if (faults_->armed != 0) {
+        faults_->trap(v, idx);
+        __builtin_unreachable();
+      }
+      return v;
+    } else {
+      return faults_->trap(v, idx);
+    }
+  }
+
   LaneFaults<kWidth>* faults_;
   std::uint64_t index_;
   std::uint64_t next_fire_;  // lowest site of a lane not fired yet
