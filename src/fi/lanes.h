@@ -53,11 +53,8 @@ class Lanes {
   friend Lanes operator/(Lanes a, Lanes b) noexcept {
     return {a.lo_ / b.lo_, a.hi_ / b.hi_};
   }
-  friend Lanes operator-(Lanes a) noexcept { return {-a.lo_, -a.hi_}; }
   Lanes& operator+=(Lanes b) noexcept { return *this = *this + b; }
   Lanes& operator-=(Lanes b) noexcept { return *this = *this - b; }
-  Lanes& operator*=(Lanes b) noexcept { return *this = *this * b; }
-  Lanes& operator/=(Lanes b) noexcept { return *this = *this / b; }
 
   /// |a| lane by lane: the sign bit cleared, as std::fabs does.
   friend Lanes abs_lanes(Lanes a) noexcept {
