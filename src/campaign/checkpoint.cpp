@@ -16,7 +16,7 @@ namespace {
 /// Dynamic instructions the experiments of `chunk` run and skip: each
 /// skips those before its golden state (fi::start_state) and runs the rest
 /// of the trace (a run that traps stops earlier; it counts whole).  A lane
-/// group's experiments share one golden state (FirstPass::group_size), so
+/// group's experiments share one golden state (FirstPass::run_group), so
 /// each lane runs exactly this.
 std::pair<std::uint64_t, std::uint64_t> count_steps(
     const fi::GoldenRun& golden, std::span<const ExperimentRecord> chunk) {

@@ -147,14 +147,9 @@ class FirstPass {
                            const fi::Injection& injection,
                            std::size_t folder);
 
-  /// The lane group at the front of `injections`: its leading classic
-  /// injections, at most fi::kLanes, that start at the same golden state
-  /// -- or just the first, when the program has no lane body.
-  std::size_t group_size(const fi::Program& program,
-                         const fi::GoldenRun& golden,
-                         std::span<const fi::Injection> injections) const;
-
-  /// Runs the lane group at the front of `injections` (group_size) in one
+  /// Runs the lane group at the front of `injections` -- its leading
+  /// classic injections, at most fi::kLanes, that start at the same golden
+  /// state, or just the first when the program has no lane body -- in one
   /// kernel pass, writes each experiment's result -- identical to
   /// run_injected's -- to the front of `results`, folds the masked ones
   /// into folder `folder`'s partial, and returns the group's size.
@@ -185,6 +180,9 @@ class FirstPass {
  private:
   struct Header;
   struct Partial;
+  std::size_t group_size(const fi::Program& program,
+                         const fi::GoldenRun& golden,
+                         std::span<const fi::Injection> injections) const;
   Partial partial(std::size_t folder) const noexcept;
   void fold(std::uint64_t site, Partial& part) const noexcept;
   void fold_group(std::span<const fi::Injection> injections,

@@ -10,7 +10,6 @@
 // double for one experiment and on Lanes for a group.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -104,26 +103,5 @@ class Lanes {
   Half lo_{};
   Half hi_{};
 };
-
-/// Lanes in a stepper value type: 1 for double, kLanes for Lanes.
-template <typename V>
-inline constexpr std::size_t lane_count = 1;
-template <>
-inline constexpr std::size_t lane_count<Lanes> = kLanes;
-
-/// Per-lane access that treats a double as a group of one.
-inline double lane_of(double v, std::size_t) noexcept { return v; }
-inline double lane_of(Lanes v, std::size_t lane) noexcept { return v[lane]; }
-inline void set_lane(double& v, std::size_t, double x) noexcept { v = x; }
-inline void set_lane(Lanes& v, std::size_t lane, double x) noexcept {
-  v.set(lane, x);
-}
-inline unsigned nonfinite_lanes(double v) noexcept {
-  return std::isfinite(v) ? 0u : 1u;
-}
-inline bool any_nonfinite(double v) noexcept { return !std::isfinite(v); }
-inline double abs_lanes(double v) noexcept { return std::fabs(v); }
-inline void store_lanes(double v, double* out) noexcept { *out = v; }
-inline void store_lanes(Lanes v, double* out) noexcept { v.store(out); }
 
 }  // namespace ftb::fi

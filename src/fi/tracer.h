@@ -208,7 +208,11 @@ struct FaultState {
   /// fires at its site; once any fault has fired, a non-finite value
   /// traps.
   double inject(double v, std::uint64_t idx) {
-    if (idx == fire_site) [[unlikely]] v = fire(v);
+    if (idx == fire_site) [[unlikely]] {
+      v = fire(v);
+      if (traps(v)) throw CrashSignal{idx};
+      return v;
+    }
     if (traps(v)) [[unlikely]] throw CrashSignal{idx};
     return v;
   }
@@ -235,22 +239,20 @@ struct FaultState {
   }
 
   /// Memory-target rule: corrupts the injection's word of the matching
-  /// touch() span in place.  Returns true when it fired.
-  bool touch(std::span<double> data) noexcept {
+  /// touch() span in place.
+  void touch(std::span<double> data) noexcept {
     const std::uint32_t point = touch_index++;
-    if (!injection.is_memory_fault() || fired ||
-        point != injection.touch_point || injection.site >= data.size()) {
-      return false;
+    if (injection.is_memory_fault() && !fired &&
+        point == injection.touch_point && injection.site < data.size()) {
+      double& word = data[injection.site];
+      fired = true;
+      original_value = word;
+      const double corrupted = injection.apply(word);
+      injected_error = std::isfinite(corrupted)
+                           ? std::fabs(corrupted - word)
+                           : std::numeric_limits<double>::infinity();
+      word = corrupted;
     }
-    double& word = data[injection.site];
-    fired = true;
-    original_value = word;
-    const double corrupted = injection.apply(word);
-    injected_error = std::isfinite(corrupted)
-                         ? std::fabs(corrupted - word)
-                         : std::numeric_limits<double>::infinity();
-    word = corrupted;
-    return true;
   }
 };
 
@@ -649,30 +651,99 @@ class Tracer {
   StreamHooks hooks_{};
 };
 
-/// The fault state of the lanes of one run on a LaneStepper: each lane's
-/// FaultState and crash site, and which lanes have fired and trapped.  It
-/// lives outside the stepper, so the stepper's own hot state -- its step
-/// index -- stays in registers while the kernel body runs.  Given `home`,
-/// the run writes each lane's FaultState back there when it ends.
-template <std::size_t kWidth>
+/// The one-experiment stepper with_stepper() compiles for an Inject
+/// (kCompare = false) or a Compare run: the one-lane case.  It copies the
+/// tracer's FaultState in, runs its rules inline, and writes the state back
+/// when it goes out of scope -- when the kernel body returns and when a
+/// CrashSignal unwinds it -- so classify_finished / classify_crash read the
+/// tracer exactly as after a run that stepped the Tracer itself.  Given a
+/// golden state, it starts at that state's step and touch counts and skips
+/// the stages before it.
+template <bool kCompare>
+class LaneStepper<double, kCompare> {
+ public:
+  using value_type = double;
+
+  LaneStepper(FaultState& home, const GoldenState* start,
+              std::span<const double> golden, std::span<double> diffs) noexcept
+      : home_(home), state_(home), start_(start), golden_(golden),
+        diffs_(diffs) {
+    if (start_ != nullptr) {
+      state_.index = start_->index;
+      state_.touch_index = start_->touch_index;
+    }
+  }
+  ~LaneStepper() { home_ = state_; }
+  LaneStepper(const LaneStepper&) = delete;
+  LaneStepper& operator=(const LaneStepper&) = delete;
+
+  [[gnu::always_inline]] double step(double v) {
+    const std::uint64_t idx = state_.index++;
+    v = state_.inject(v, idx);
+    if constexpr (kCompare) state_.compare(v, idx, golden_, diffs_);
+    return v;
+  }
+
+  /// Only the golden run's recorder keeps phases.
+  void phase(std::string_view) const noexcept {}
+
+  void touch(std::span<double> data) noexcept { state_.touch(data); }
+
+  /// Skips the stages before the start state and restores `live` at it.
+  bool stage(std::initializer_list<std::span<double>> live) noexcept {
+    const std::uint32_t number = next_stage_++;
+    if (start_ == nullptr || number > start_->stage) return true;
+    if (number < start_->stage) return false;
+    start_->restore(live);
+    return true;
+  }
+
+ private:
+  FaultState& home_;
+  FaultState state_;
+  std::uint32_t next_stage_ = 0;
+  const GoldenState* start_;
+  std::span<const double> golden_;
+  std::span<double> diffs_;
+};
+
+template <typename Body>
+auto Tracer::with_stepper(Body&& body) {
+  if (next_checkpoint_ == kNoCheckpoint &&
+      (mode_ == Mode::kInject || mode_ == Mode::kCompare)) {
+    const GoldenState* start = start_;
+    start_ = nullptr;  // a run starts late once
+    if (start != nullptr) started_at_ = start->index;
+    if (mode_ == Mode::kInject) {
+      InjectStepper stepper(state_, start, {}, {});
+      return body(stepper);
+    }
+    CompareStepper stepper(state_, start, golden_, diffs_);
+    return body(stepper);
+  }
+  return body(*this);
+}
+
+/// The lanes of one group's run: each lane's FaultState and crash site,
+/// and which lanes have fired and trapped.  It lives outside the stepper,
+/// so that the stepper's own hot state -- its step index -- stays in
+/// registers while the kernel body runs.
 struct LaneFaults {
   static constexpr std::uint64_t kNoCrash = ~std::uint64_t{0};
 
-  std::array<FaultState, kWidth> lanes{};
-  std::array<std::uint64_t, kWidth> crash_site{};  // the step it trapped at
+  std::array<FaultState, kLanes> lanes{};
+  std::array<std::uint64_t, kLanes> crash_site{};  // the step it trapped at
   std::size_t used = 0;  // lanes that carry an experiment
   unsigned armed = 0;    // lanes that fired and have not trapped
   unsigned live = 0;     // lanes that have not trapped
-  FaultState* home = nullptr;
 
-  /// `used` lanes armed with `lane(l)`.
-  template <typename Lane>
-  LaneFaults(std::size_t count, Lane&& lane, FaultState* to = nullptr) noexcept
-      : used(count), live((1u << count) - 1), home(to) {
+  explicit LaneFaults(std::span<const Injection> injections) noexcept
+      : used(std::min(injections.size(), kLanes)),
+        live((1u << used) - 1) {
     crash_site.fill(kNoCrash);
     for (std::size_t l = 0; l < used; ++l) {
-      lanes[l] = lane(l);
-      if (lanes[l].fired) armed |= 1u << l;
+      assert(!injections[l].is_memory_fault());
+      lanes[l].arm(injections[l]);
     }
   }
 
@@ -686,11 +757,10 @@ struct LaneFaults {
   }
 
   /// Fires every lane whose site is `idx` (FaultState::fire).
-  template <typename V>
-  V fire(V v, std::uint64_t idx) noexcept {
+  Lanes fire(Lanes v, std::uint64_t idx) noexcept {
     for (std::size_t l = 0; l < used; ++l) {
       if (lanes[l].fired || lanes[l].fire_site != idx) continue;
-      set_lane(v, l, lanes[l].fire(lane_of(v, l)));
+      v.set(l, lanes[l].fire(v[l]));
       armed |= 1u << l;
     }
     return v;
@@ -701,8 +771,7 @@ struct LaneFaults {
   /// no lane is left.  A trapped lane's values are dead: they are zeroed
   /// when they go non-finite, so that the stepper's one test per step
   /// keeps reading the live lanes only.
-  template <typename V>
-  [[gnu::noinline]] V trap(V v, std::uint64_t idx) {
+  [[gnu::noinline]] Lanes trap(Lanes v, std::uint64_t idx) {
     const unsigned nonfinite = nonfinite_lanes(v);
     const unsigned bad = nonfinite & armed;
     for (std::size_t l = 0; l < used; ++l) {
@@ -711,80 +780,64 @@ struct LaneFaults {
     armed &= ~bad;
     live &= ~bad;
     if (live == 0) throw CrashSignal{idx};
-    for (std::size_t l = 0; l < kWidth; ++l) {
-      if ((nonfinite >> l & 1u) != 0 && (live >> l & 1u) == 0) {
-        set_lane(v, l, 0.0);
-      }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if ((nonfinite >> l & 1u) != 0 && (live >> l & 1u) == 0) v.set(l, 0.0);
     }
     return v;
   }
-
-  /// Ends the run at step `index` and touch call `touch_index`.
-  void finish(std::uint64_t index, std::uint32_t touch_index) noexcept {
-    for (std::size_t l = 0; l < used; ++l) {
-      lanes[l].index = index;
-      lanes[l].touch_index = touch_index;
-      if (home != nullptr) home[l] = lanes[l];
-    }
-  }
 };
 
-/// The stepper compiled for an Inject (kCompare = false) or a Compare run
-/// of one experiment (V = double, Tracer::with_stepper) or of a lane group
-/// (V = Lanes, LaneGroup::with_stepper).  It runs FaultState's rules
-/// inline on every lane of `faults` and ends the run there when it goes
-/// out of scope -- when the kernel body returns and when a CrashSignal
-/// unwinds it -- so the executor reads each lane exactly as after a run
-/// that stepped the Tracer itself.
+/// The stepper a LaneGroup compiles for an Inject (kCompare = false) or a
+/// Compare run of up to kLanes experiments, one per lane of Lanes.  It
+/// applies FaultState's rules to every lane of `faults` and leaves the
+/// run's position there when it goes out of scope -- when the kernel body
+/// returns and when a CrashSignal unwinds it.
 ///
 /// Each lane fires at its own site and traps on its own: it records its
 /// crash site and from then on affects nothing else.  The run throws
-/// CrashSignal only once every lane has trapped -- at once, for one lane.
-/// Compare mode writes |x_i' - x_i| of every lane, interleaved by lane
-/// (diffs[i * lanes + l]), from the first firing on; a lane that has not
-/// fired yet holds golden values, so its entries there are exact zeros.
-/// Given a golden state, the stepper starts at its step and touch counts
-/// and skips the stages before it; memory-target faults are single-lane
-/// only.
-template <typename V, bool kCompare>
-class LaneStepper {
+/// CrashSignal only once every lane has trapped.  Compare mode writes
+/// |x_i' - x_i| of every lane, interleaved by lane (diffs[i * kLanes +
+/// l]), from the first firing on; a lane that has not fired yet holds
+/// golden values, so its entries there are exact zeros.  Given a golden
+/// state, the stepper starts at its step count and skips the stages before
+/// it.  Memory-target faults do not run in groups.
+template <bool kCompare>
+class LaneStepper<Lanes, kCompare> {
  public:
-  using value_type = V;
-  static constexpr std::size_t kWidth = lane_count<V>;
+  using value_type = Lanes;
 
-  /// `diffs`: golden.size() * kWidth doubles for a Compare run.
-  LaneStepper(LaneFaults<kWidth>& faults, const GoldenState* start,
+  /// `diffs`: golden.size() * kLanes doubles for a Compare run.
+  LaneStepper(LaneFaults& faults, const GoldenState* start,
               std::span<const double> golden, std::span<double> diffs) noexcept
       : faults_(&faults),
-        index_(start != nullptr ? start->index : faults.lanes[0].index),
+        index_(start != nullptr ? start->index : 0),
         next_fire_(faults.next_fire()),
-        fired_(faults.armed != 0),
         start_(start),
         golden_(golden.data()),
         diffs_(diffs.data()),
-        sites_(diffs.size() / kWidth) {
-    assert(faults.used >= 1 && faults.used <= kWidth);
-    if (start_ != nullptr) faults.lanes[0].touch_index = start_->touch_index;
+        sites_(diffs.size() / kLanes) {
+    assert(faults.used >= 1);
   }
-  ~LaneStepper() { faults_->finish(index_, faults_->lanes[0].touch_index); }
+  ~LaneStepper() {
+    for (FaultState& lane : faults_->lanes) lane.index = index_;
+  }
   LaneStepper(const LaneStepper&) = delete;
   LaneStepper& operator=(const LaneStepper&) = delete;
 
-  [[gnu::always_inline]] V step(V v) {
+  [[gnu::always_inline]] Lanes step(Lanes v) {
     const std::uint64_t idx = index_++;
     if (idx == next_fire_) [[unlikely]] {
       v = faults_->fire(v, idx);
-      // A single lane's site is behind it now and never met again.
-      if constexpr (kWidth > 1) next_fire_ = faults_->next_fire();
+      next_fire_ = faults_->next_fire();
       fired_ = true;
     }
     // Until a lane fires, every lane holds golden values: finite, and no
     // diff to write.
     if (fired_) [[likely]] {
-      if (any_nonfinite(v)) [[unlikely]] v = trap(v, idx);
+      if (any_nonfinite(v)) [[unlikely]] v = faults_->trap(v, idx);
       if constexpr (kCompare) {
         if (idx < sites_) {
-          store_lanes(abs_lanes(v - V(golden_[idx])), diffs_ + idx * kWidth);
+          abs_lanes(v - Lanes(golden_[idx])).store(diffs_ + idx * kLanes);
         }
       }
     }
@@ -794,19 +847,11 @@ class LaneStepper {
   /// Only the golden run's recorder keeps phases.
   void phase(std::string_view) const noexcept {}
 
-  void touch(std::span<V> data) noexcept {
-    if constexpr (kWidth == 1) {
-      if (faults_->lanes[0].touch(data)) {
-        faults_->armed = 1;
-        fired_ = true;
-      }
-    } else {
-      ++faults_->lanes[0].touch_index;  // memory-target faults: one lane
-    }
-  }
+  /// Memory-target faults do not run in groups: nothing to apply.
+  void touch(std::span<Lanes>) const noexcept {}
 
   /// Skips the stages before the start state and restores `live` at it.
-  bool stage(std::initializer_list<std::span<V>> live) noexcept {
+  bool stage(std::initializer_list<std::span<Lanes>> live) noexcept {
     const std::uint32_t number = next_stage_++;
     if (start_ == nullptr || number > start_->stage) return true;
     if (number < start_->stage) return false;
@@ -815,49 +860,16 @@ class LaneStepper {
   }
 
  private:
-  V trap(V v, std::uint64_t idx) {
-    if constexpr (kWidth == 1) {
-      // One lane: a fired lane's trap ends the run, so the hot path never
-      // resumes from a call (and keeps its index in a register).
-      if (faults_->armed != 0) {
-        faults_->trap(v, idx);
-        __builtin_unreachable();
-      }
-      return v;
-    } else {
-      return faults_->trap(v, idx);
-    }
-  }
-
-  LaneFaults<kWidth>* faults_;
+  LaneFaults* faults_;
   std::uint64_t index_;
   std::uint64_t next_fire_;  // lowest site of a lane not fired yet
-  bool fired_;               // some lane fired: Compare writes from here on
+  bool fired_ = false;       // some lane fired: traps and diffs from here on
   std::uint32_t next_stage_ = 0;
   const GoldenState* start_;
   const double* golden_;
   double* diffs_;
   std::size_t sites_;
 };
-
-template <typename Body>
-auto Tracer::with_stepper(Body&& body) {
-  if (next_checkpoint_ == kNoCheckpoint &&
-      (mode_ == Mode::kInject || mode_ == Mode::kCompare)) {
-    const GoldenState* start = start_;
-    start_ = nullptr;  // a run starts late once
-    if (start != nullptr) started_at_ = start->index;
-    LaneFaults<1> faults(
-        1, [this](std::size_t) { return state_; }, &state_);
-    if (mode_ == Mode::kInject) {
-      InjectStepper stepper(faults, start, {}, {});
-      return body(stepper);
-    }
-    CompareStepper stepper(faults, start, golden_, diffs_);
-    return body(stepper);
-  }
-  return body(*this);
-}
 
 /// Up to kLanes trace-target experiments run side by side through one pass
 /// of a kernel body over Lanes (Program::run_lanes; fi::run_injected_group
@@ -866,7 +878,7 @@ auto Tracer::with_stepper(Body&& body) {
 /// until it fires.
 class LaneGroup {
  public:
-  static constexpr std::uint64_t kNoCrash = LaneFaults<kLanes>::kNoCrash;
+  static constexpr std::uint64_t kNoCrash = LaneFaults::kNoCrash;
 
   /// `injections`: at most kLanes trace-target faults.  `diffs`: empty for
   /// an Inject run; for a Compare run golden.size() * kLanes doubles, which
@@ -874,16 +886,7 @@ class LaneGroup {
   LaneGroup(std::span<const Injection> injections, const GoldenState* start,
             std::span<const double> golden = {},
             std::span<double> diffs = {}) noexcept
-      : faults_(std::min(injections.size(), kLanes),
-                [injections](std::size_t l) {
-                  assert(!injections[l].is_memory_fault());
-                  FaultState lane;
-                  lane.arm(injections[l]);
-                  return lane;
-                }),
-        start_(start),
-        golden_(golden),
-        diffs_(diffs) {}
+      : faults_(injections), start_(start), golden_(golden), diffs_(diffs) {}
 
   /// Runs `body(stepper)` once on the lane stepper for this group's mode
   /// and returns the output lanes; a group without lanes runs nothing and
@@ -912,7 +915,7 @@ class LaneGroup {
   std::uint64_t steps() const noexcept { return faults_.lanes[0].index; }
 
  private:
-  LaneFaults<kLanes> faults_;
+  LaneFaults faults_;
   const GoldenState* start_;
   std::span<const double> golden_;
   std::span<double> diffs_;

@@ -244,6 +244,30 @@ TEST(LaneGroups, PartialGroupsOfOneToThreeLanes) {
   }
 }
 
+// Each lane's output goes through the program's ABFT detector, as a
+// scalar run's does.
+TEST(LaneGroups, LanesClassifyThroughTheDetector) {
+  kernels::CgConfig config;
+  config.detector = true;
+  const kernels::CgProgram program(config);
+  ASSERT_TRUE(fi::has_lane_body(program));
+  const fi::GoldenRun golden = fi::run_golden(program);
+  util::Rng rng(29);
+  const std::vector<campaign::ExperimentId> ids =
+      campaign::sample_uniform(rng, golden.sample_space_size(), 400);
+  std::vector<fi::Injection> injections;
+  for (const campaign::ExperimentId id : ids) {
+    injections.push_back(campaign::injection_of(id));
+  }
+  expect_groups_match(program, golden, injections);
+  std::size_t detected = 0;
+  for (const fi::Injection& injection : injections) {
+    detected += fi::run_injected(program, golden, injection).outcome ==
+                fi::Outcome::kDetected;
+  }
+  EXPECT_GT(detected, 0u);
+}
+
 TEST(LaneGroups, GroupsSpanningAStageBoundaryStartAtTheLowestSitesState) {
   for (const char* kernel : {"cg", "lu", "fft"}) {
     const fi::ProgramPtr program =
