@@ -118,7 +118,7 @@ class FirstPassEvidence {
 
 /// The fold engine one checkpointed run drives (campaign/checkpoint.h).
 ///
-/// Folders call run() concurrently, each with its own index; the runner
+/// Folders call run_group() concurrently, each with its own index; the runner
 /// calls settle() after every chunk, while no folder runs, and finish() at
 /// the end.  The shared mapping is made before any worker forks and freed
 /// with this object.

@@ -85,8 +85,9 @@ using GroupResults = std::array<ExperimentResult, kLanes>;
 /// of its lowest site.  With `diffs` (golden.trace.size() * kLanes doubles)
 /// it writes lane l's propagated error |x_i' - x_i| to diffs[i * kLanes +
 /// l] for every i at or after its site; it zeroes nothing, and entries
-/// below a lane's site are unspecified.  A program without a lane body (or
-/// sharded) runs each injection on its own, with the same results.
+/// below a lane's site are unspecified.  A group with a memory-target
+/// fault, or a program without a lane body (or sharded), runs each
+/// injection on its own, with the same results.
 GroupResults run_injected_group(const Program& program, const GoldenRun& golden,
                                 std::span<const Injection> injections,
                                 std::span<double> diffs = {});

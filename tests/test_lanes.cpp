@@ -16,6 +16,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,8 @@ struct Checked {
 };
 
 /// Runs `group` as a lane group in Inject and Compare mode and checks each
-/// lane against the scalar executor.
+/// lane against the scalar executor: results, diffs and, for a program
+/// with a lane body, the output itself.
 Checked expect_group_matches(const fi::Program& program,
                              const fi::GoldenRun& golden,
                              std::span<const fi::Injection> group) {
@@ -71,11 +73,38 @@ Checked expect_group_matches(const fi::Program& program,
   std::vector<double> diffs(golden.trace.size() * fi::kLanes, kNaN);
   const fi::GroupResults compare =
       fi::run_injected_group(program, golden, group, diffs);
+  // The lanes' outputs themselves, from the group's own start state.
+  const fi::GoldenState* start = fi::start_state(
+      golden, *std::min_element(group.begin(), group.end(),
+                                [](const fi::Injection& a,
+                                   const fi::Injection& b) {
+                                  return a.site < b.site;
+                                }));
+  fi::LaneGroup lanes(group, start);
+  std::optional<std::vector<fi::Lanes>> outputs;
+  try {
+    outputs = program.run_lanes(lanes);
+  } catch (const fi::CrashSignal&) {
+  }
   std::vector<double> own(golden.trace.size());
   for (std::size_t l = 0; l < group.size(); ++l) {
     const fi::Injection& injection = group[l];
     const fi::ExperimentResult expected =
         fi::run_injected(program, golden, injection);
+    if (outputs && expected.outcome != fi::Outcome::kCrash) {
+      fi::Tracer tracer =
+          fi::Tracer::injector(injection, fi::start_state(golden, injection));
+      const std::vector<double> scalar = program.run(tracer);
+      EXPECT_EQ(outputs->size(), scalar.size());
+      for (std::size_t i = 0; i < std::min(scalar.size(), outputs->size());
+           ++i) {
+        if (fi::to_bits((*outputs)[i][l]) != fi::to_bits(scalar[i])) {
+          ADD_FAILURE() << program.name() << " lane " << l << ", "
+                        << describe(injection) << ": output " << i;
+          break;
+        }
+      }
+    }
     EXPECT_TRUE(same_result(inject[l], expected))
         << program.name() << " inject lane " << l << ", " << describe(injection);
     const fi::ExperimentResult expected_compare =
