@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "boundary/accumulator.h"
 #include "boundary/boundary.h"
 #include "boundary/serialize.h"
 #include "campaign/checkpoint.h"
