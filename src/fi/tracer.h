@@ -256,6 +256,9 @@ struct FaultState {
   }
 };
 
+/// The stepper compiled for an Inject (kCompare = false) or a Compare run:
+/// of one experiment (V = double) or of a lane group (V = Lanes).  Both
+/// specializations follow the Tracer below.
 template <typename V, bool kCompare>
 class LaneStepper;
 
